@@ -15,6 +15,13 @@ corresponding built-in script.  "Overwrite a function pointer" therefore
 means exactly that: write a blob's address into the cell, by any copy
 path the machine allows.
 
+Each processor's boot code after the section loads is a Python
+generator, and every `yield` ends that processor's turn.  The scheduler
+alternates turns, ARM9 first.  A processor that polls a shared flag
+yields a waiting marker while the flag is clear; when two turns in a row
+make no progress, nothing can ever change what the processors poll, so
+the boot halts with a `watchdog` event instead of spinning.
+
 Section loads drive the attack surface: a section whose destination is
 the DMA register window is decoded as copy requests and executed
 immediately (before the locks engage), a section whose destination is
@@ -30,18 +37,19 @@ All multi-byte values in simulated memory are little-endian.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
-from dataclasses import dataclass, field, replace
-from enum import Enum, IntEnum
+from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import Optional
 
 from . import firm as firmmod
-from .firm import CopyMethod, FirmImage, FirmParseError, NullCipher, SectionHeader
+from .firm import CopyMethod, FirmImage, FirmParseError, SectionHeader
 from .modmath import Console, KeyRegistry, SignatureType
 from .prng import ByteStream, derive_seed
-from .sigparser import ParseOutcome, ParserConfig, ParserMode, StackModel, Verdict
+from .sigparser import ParseOutcome, ParserConfig, StackModel, Verdict
 
 __all__ = [
     "RegionKind",
@@ -99,8 +107,6 @@ EXFIL_BOOT9 = 0x08018000
 
 NTR_BOOT_COMBO = frozenset({"START", "SELECT", "X"})
 DUMP_COMBO = frozenset({"L", "R", "START"})  # simulator convention
-
-WATCHDOG_LIMIT = 10**6
 
 SD_BOOT9_NAME = "boot9_protected.bin"
 SD_BOOT11_NAME = "boot11_protected.bin"
@@ -312,6 +318,13 @@ class _BootHalt(Exception):
     """Unrecoverable condition: the black-screen analog."""
 
 
+class _PowerOff(Exception):
+    """Stage 2 powered the console off: the deliberate end of a boot."""
+
+
+_WAITING = object()  # what a script yields for a turn spent on a failed poll
+
+
 class _PagedStore:
     """Sparse zero-initialized RAM."""
 
@@ -353,21 +366,6 @@ class _RomStore:
 
     def write(self, offset: int, data: bytes) -> None:
         raise RuntimeError("ROM store is not writable")
-
-
-class _Cpu:
-    def __init__(self, proc: int):
-        self.proc = proc
-        self.actions: list[tuple] = []
-        self.diverted = False
-        self.entered = False
-
-    @property
-    def done(self) -> bool:
-        return not self.actions
-
-    def push_front(self, actions: list[tuple]) -> None:
-        self.actions[:0] = actions
 
 
 @dataclass
@@ -429,7 +427,6 @@ class Machine:
         self.parser = parser
         self.force_boot_source = force_boot_source
         self.workdir = Path(workdir) if workdir else None
-        self.cipher = NullCipher()
 
         self.boot9_rom = ByteStream(derive_seed(self.seed, "boot9-rom")).take(ROM_SIZE)
         self.boot11_rom = ByteStream(derive_seed(self.seed, "boot11-rom")).take(ROM_SIZE)
@@ -461,9 +458,7 @@ class Machine:
         self.aborts: list[tuple[int, bool]] = []
         self.exfiltrated: dict[str, bytes] = {}
         self.sections_loaded: list[int] = []
-        self._milestones: set[str] = set()
-        self._shutdown = False
-        self._watchdog_tripped = False
+        self._hook_a_done = False
 
     def boot9_stack(self, block_length: int) -> StackModel:
         return StackModel.boot9(block_length, seed=derive_seed(self.seed, "boot9-stack"))
@@ -690,210 +685,189 @@ class Machine:
         else:
             self.wifi_store = bytes(image_bytes)
 
-    def _expand_stage2_arm9(self, cpu: _Cpu, addr: int) -> bool:
-        tag, fields = self._read_blob(addr)
-        if tag == TAG_STAGE2_ARM9:
-            boot9_copy, boot11_copy = fields
-            self._log(cpu.proc, "entry", addr)
-            cpu.entered = True
-            if DUMP_COMBO <= self.inputs.keys_held:
-                cpu.push_front(
-                    [
-                        ("sd_dump", boot9_copy, boot11_copy),
-                        ("power_off",),
-                    ]
-                )
-            else:
-                cpu.push_front(
-                    [
-                        ("chain_load",),
-                    ]
-                )
+    # -- the processors' scripts ----------------------------------------------
+    #
+    # Each script is a generator; every `yield` ends that processor's turn.
+    # One step of boot code (a copy, a flag write, a logged milestone) costs
+    # one turn.  A wait costs a turn per failed poll, yielding _WAITING, plus
+    # one turn for the poll that passes.
+
+    def _wait(self, ready):
+        while not ready():
+            yield _WAITING
+        yield
+
+    def _call_hook(self, proc: int, cell: int, mark: bool = False):
+        """Dereference a function-pointer cell and run the blob it points at.
+
+        Returns True when the hook diverts the processor past its lock.
+        `mark` records that ARM9's first hook is done, which releases ARM11.
+        """
+        target = self.read_u32(cell)
+        tag, fields = self._read_blob(target) if target else (b"", [])
+        if tag == TAG_HOOK1:
+            self._log(proc, "hook1_run", target)
+            yield
+            self.write_u32(BOOT11_FPTR, fields[0], proc)
+            yield
+            self._log(proc, "hook_install", BOOT11_FPTR, 4)
+            yield
+            self._log(proc, "mpu_setup")
+            yield
+            self.write_u32(CROSS_FLAG, 1, proc)
+            yield
+            self._log(proc, "flag_set", CROSS_FLAG, 4)
+            yield
+            if mark:
+                self._hook_a_done = True
+                yield
+            return False
+        self._hook_a_done |= mark  # any other target marks within this turn
+        if tag == TAG_HOOK2:
+            staging, boot11_dst, boot9_dst = fields
+            self._log(proc, "hook2_run", target)
+            yield
+            yield from self._wait(lambda: self.read_u32(SIG_11TO9))
+            self.copy_phys(staging, boot11_dst, PROTECTED_HALF, proc)
+            yield
+            self.write_u32(SIG_9TO11, 1, proc)
+            yield
+            self._log(proc, "signal", SIG_9TO11, 4)
+            yield
+            self.copy_phys(BOOT9_ROM_BASE + PROTECTED_HALF, boot9_dst, PROTECTED_HALF, proc)
+            yield
+            yield  # the jump back into boot code, past the lock
             return True
-        if tag == TAG_STAGE2_INSTALL:
-            nand_len, sd_len = fields
-            payload_base = addr + 8 + 8
-            self._log(cpu.proc, "entry", addr)
-            cpu.entered = True
-            cpu.push_front(
-                [
-                    ("install", payload_base, nand_len, sd_len),
-                    ("power_off",),
-                ]
-            )
+        if tag == TAG_HOOK11:
+            staging = fields[0]
+            self._log(proc, "hook11_run", target)
+            yield
+            self.copy_phys(BOOT11_ROM_BASE + PROTECTED_HALF, staging, PROTECTED_HALF, proc)
+            yield
+            self.write_u32(SIG_11TO9, 1, proc)
+            yield
+            self._log(proc, "signal", SIG_11TO9, 4)
+            yield
+            yield from self._wait(lambda: self.read_u32(SIG_9TO11))
+            yield  # the jump back into boot code, past the lock
             return True
+        if target:
+            self._log(proc, "bad_hook", target)
+        yield
         return False
 
-    def _exec_action(self, cpu: _Cpu, action: tuple) -> bool:
-        """Run one scripted step.  Returns False to re-queue (waiting)."""
-        kind = action[0]
-        proc = cpu.proc
-
-        if kind == "wait_milestone":
-            if action[1] not in self._milestones:
-                return False
-        elif kind == "milestone":
-            self._milestones.add(action[1])
-        elif kind == "wait_cell":
-            if self.read_u32(action[1]) == 0:
-                return False
-        elif kind == "deref":
-            _, cell, milestone = action
-            target = self.read_u32(cell)
-            expanded = False
-            if target:
-                tag, fields = self._read_blob(target)
-                if tag == TAG_HOOK1:
-                    self._log(proc, "hook1_run", target)
-                    steps = [
-                        ("w32", BOOT11_FPTR, fields[0]),
-                        ("log", "hook_install", BOOT11_FPTR, 4),
-                        ("log", "mpu_setup", 0, 0),
-                        ("w32", CROSS_FLAG, 1),
-                        ("log", "flag_set", CROSS_FLAG, 4),
-                    ]
-                    if milestone:
-                        steps.append(("milestone", milestone))
-                        expanded = True
-                    cpu.push_front(steps)
-                elif tag == TAG_HOOK2:
-                    staging, boot11_dst, boot9_dst = fields
-                    self._log(proc, "hook2_run", target)
-                    cpu.push_front(
-                        [
-                            ("wait_cell", SIG_11TO9),
-                            ("copy", staging, boot11_dst, PROTECTED_HALF),
-                            ("w32", SIG_9TO11, 1),
-                            ("log", "signal", SIG_9TO11, 4),
-                            ("copy", BOOT9_ROM_BASE + PROTECTED_HALF, boot9_dst, PROTECTED_HALF),
-                            ("divert",),
-                        ]
-                    )
-                elif tag == TAG_HOOK11:
-                    staging = fields[0]
-                    self._log(proc, "hook11_run", target)
-                    cpu.push_front(
-                        [
-                            ("copy", BOOT11_ROM_BASE + PROTECTED_HALF, staging, PROTECTED_HALF),
-                            ("w32", SIG_11TO9, 1),
-                            ("log", "signal", SIG_11TO9, 4),
-                            ("wait_cell", SIG_9TO11),
-                            ("divert",),
-                        ]
-                    )
-                else:
-                    self._log(proc, "bad_hook", target)
-            if milestone and not expanded:
-                self._milestones.add(milestone)
-        elif kind == "copy":
-            _, src, dst, length = action
-            self.copy_phys(src, dst, length, proc)
-        elif kind == "w32":
-            self.write_u32(action[1], action[2], proc)
-        elif kind == "log":
-            self._log(proc, action[1], action[2], action[3])
-        elif kind == "divert":
-            cpu.diverted = True
-        elif kind == "lock":
-            if not cpu.diverted:
-                self.engage_lock(cpu.proc)
-        elif kind == "lock_force":
-            self.engage_lock(cpu.proc)
-        elif kind == "wait_lock11":
-            if not self.locks.boot11_locked:
-                return False
-        elif kind == "jump":
-            entry = action[1]
-            if cpu.proc == 9:
-                if not self._expand_stage2_arm9(cpu, entry):
-                    self._log(proc, "entry", entry)
-                    cpu.entered = True
-            else:
-                tag, _ = self._read_blob(entry)
-                if tag == TAG_STAGE2_ARM11:
-                    cpu.push_front(
-                        [
-                            ("wait_cell", CHAIN_FLAG),
-                            ("lock_force", 11),
-                            ("log", "entry", entry, 0),
-                        ]
-                    )
-                else:
-                    self._log(proc, "entry", entry)
-        elif kind == "sd_dump":
-            _, boot9_copy, boot11_copy = action
-            for name, src in ((SD_BOOT9_NAME, boot9_copy), (SD_BOOT11_NAME, boot11_copy)):
-                content = self.read_phys(src, PROTECTED_HALF, proc)
-                self.sd_store[name] = content
-                self._log(proc, "sd_write", src, PROTECTED_HALF)
-        elif kind == "power_off":
-            self._log(proc, "power_off")
-            self._shutdown = True
-        elif kind == "install":
-            _, payload_base, nand_len, sd_len = action
-            nand_bytes = self.read_phys(payload_base, nand_len, proc)
-            sd_bytes = self.read_phys(payload_base + nand_len, sd_len, proc)
+    def _arm9_script(self, entry: int):
+        diverted = yield from self._call_hook(9, BOOT9_FPTR_A, mark=True)
+        diverted |= yield from self._call_hook(9, BOOT9_FPTR_B)
+        if not diverted:
+            self.engage_lock(9)
+        yield
+        tag, fields = self._read_blob(entry)
+        self._log(9, "entry", entry)
+        yield
+        if tag == TAG_STAGE2_ARM9 and DUMP_COMBO <= self.inputs.keys_held:
+            for name, src in zip((SD_BOOT9_NAME, SD_BOOT11_NAME), fields):
+                self.sd_store[name] = self.read_phys(src, PROTECTED_HALF, 9)
+                self._log(9, "sd_write", src, PROTECTED_HALF)
+            yield
+            self._power_off()
+        elif tag == TAG_STAGE2_ARM9:
+            yield from self._chain_load()
+        elif tag == TAG_STAGE2_INSTALL:
+            nand_len, sd_len = fields
+            payload_base = entry + 8 + 8
+            # Both reads come first: an abort in either leaves NAND untouched.
+            nand_bytes = self.read_phys(payload_base, nand_len, 9)
+            sd_bytes = self.read_phys(payload_base + nand_len, sd_len, 9)
             self.nand_store = nand_bytes
             self.sd_store[SD_CHAIN_NAME] = sd_bytes
-            self._log(proc, "nand_install", 0, nand_len)
-            self._log(proc, "sd_write", 0, sd_len)
-        elif kind == "chain_load":
-            content = self.sd_store.get(SD_CHAIN_NAME)
-            if content is None:
-                self._log(proc, "chain_missing")
-                raise _BootFailure("no second-stage image on the SD card")
-            try:
-                second = firmmod.parse(content)
-            except FirmParseError as exc:
-                self._log(proc, "chain_parse_error")
-                raise _BootFailure(str(exc)) from exc
-            self._log(proc, "chain_load", 0, len(content))
-            for idx, (sec, payload) in enumerate(zip(second.sections, second.payloads)):
-                if sec.used:
-                    self.write_phys(sec.phys_addr, payload, proc)
-                    self._log(proc, "copy", sec.phys_addr, sec.size)
-            cpu.push_front(
-                [
-                    ("w32", CHAIN_FLAG, 1),
-                    ("lock_force", 9),
-                    ("wait_lock11",),
-                    ("log", "entry", second.arm9_entry, 0),
-                    ("mark_entered",),
-                ]
-            )
-        elif kind == "mark_entered":
-            cpu.entered = True
-        else:
-            raise RuntimeError(f"unknown scripted action {kind!r}")
-        return True
+            self._log(9, "nand_install", 0, nand_len)
+            self._log(9, "sd_write", 0, sd_len)
+            yield
+            self._power_off()
 
-    def _run_scheduler(self, cpu9: _Cpu, cpu11: _Cpu) -> None:
-        turns = 0
-        while not self._shutdown and (not cpu9.done or not cpu11.done):
-            turns += 1
-            if turns > WATCHDOG_LIMIT:
+    def _chain_load(self):
+        content = self.sd_store.get(SD_CHAIN_NAME)
+        if content is None:
+            self._log(9, "chain_missing")
+            raise _BootFailure("no second-stage image on the SD card")
+        try:
+            second = firmmod.parse(content)
+        except FirmParseError as exc:
+            self._log(9, "chain_parse_error")
+            raise _BootFailure(str(exc)) from exc
+        self._log(9, "chain_load", 0, len(content))
+        for sec, payload in zip(second.sections, second.payloads):
+            if sec.used:
+                self.write_phys(sec.phys_addr, payload, 9)
+                self._log(9, "copy", sec.phys_addr, sec.size)
+        yield
+        self.write_u32(CHAIN_FLAG, 1, 9)
+        yield
+        self.engage_lock(9)
+        yield
+        yield from self._wait(lambda: self.locks.boot11_locked)
+        self._log(9, "entry", second.arm9_entry)
+        yield
+
+    def _arm11_script(self, entry: int):
+        yield from self._wait(lambda: self._hook_a_done)
+        diverted = yield from self._call_hook(11, BOOT11_FPTR)
+        if not diverted:
+            self.engage_lock(11)
+        yield
+        tag, _ = self._read_blob(entry)
+        if tag != TAG_STAGE2_ARM11:
+            self._log(11, "entry", entry)
+            yield
+            return
+        yield
+        yield from self._wait(lambda: self.read_u32(CHAIN_FLAG))
+        self.engage_lock(11)
+        yield
+        self._log(11, "entry", entry)
+        yield
+
+    def _power_off(self) -> None:
+        self._log(9, "power_off")
+        raise _PowerOff
+
+    def _run_scheduler(self, arm9, arm11) -> None:
+        """Run the two scripts in strict alternation, ARM9 first.
+
+        A finished script's turn is skipped.  Every turn that waits or is
+        skipped makes no progress, and nothing but progress changes what a
+        wait polls; so once two turns in a row make none, every live script
+        waits forever.  That stall logs `watchdog` and halts the boot.
+        """
+        scripts = [arm9, arm11]
+        idle = 0
+        for cpu in itertools.cycle((0, 1)):
+            if not any(scripts):
+                return
+            if idle == 2:
                 self._log(9, "watchdog")
-                self._watchdog_tripped = True
-                raise _BootHalt("scheduler watchdog tripped")
-            cpu = cpu9 if turns % 2 == 1 else cpu11
-            if cpu.done:
+                raise _BootHalt("no processor can make progress")
+            idle += 1
+            if scripts[cpu] is None:
                 continue
-            action = cpu.actions.pop(0)
-            if not self._exec_action(cpu, action):
-                cpu.actions.insert(0, action)
+            try:
+                if next(scripts[cpu]) is not _WAITING:
+                    idle = 0
+            except StopIteration:
+                scripts[cpu] = None
 
     def _execute_boot(self, registry: KeyRegistry, parser: ParserConfig) -> BootReport:
         first_event = len(self.event_log)
         verdict: Optional[ParseOutcome] = None
         outcome = BootOutcome.FAILURE
-        reached = False
         source = select_boot_source(self.inputs, self.force_boot_source)
 
         try:
             self._log(9, "init_keyslots")
             self._log(9, "init_rsa_slots")
             self._log(9, f"boot_source_{source.value}")
-            raw = self.cipher.decrypt(self._source_bytes(source))
+            raw = self._source_bytes(source)
             if len(raw) < firmmod.HEADER_LENGTH:
                 self._log(9, "header_read_failed", 0, len(raw))
                 raise _BootFailure("no bootable image on the selected source")
@@ -934,28 +908,12 @@ class Machine:
                     continue
                 self.sections_loaded.append(idx)
 
-            cpu9 = _Cpu(9)
-            cpu9.actions = [
-                ("deref", BOOT9_FPTR_A, "fptr_a_done"),
-                ("deref", BOOT9_FPTR_B, None),
-                ("lock",),
-                ("jump", image.arm9_entry),
-            ]
-            cpu11 = _Cpu(11)
-            cpu11.actions = [
-                ("wait_milestone", "fptr_a_done"),
-                ("deref", BOOT11_FPTR, None),
-                ("lock",),
-                ("jump", image.arm11_entry),
-            ]
-            self._run_scheduler(cpu9, cpu11)
-            reached = cpu9.entered
-            if self._shutdown:
-                outcome = BootOutcome.SHUTDOWN
-            elif reached:
-                outcome = BootOutcome.REACHED_ENTRY
-            else:
-                outcome = BootOutcome.FAILURE
+            self._run_scheduler(
+                self._arm9_script(image.arm9_entry), self._arm11_script(image.arm11_entry)
+            )
+            outcome = BootOutcome.REACHED_ENTRY
+        except _PowerOff:
+            outcome = BootOutcome.SHUTDOWN
         except _BootFailure:
             outcome = BootOutcome.FAILURE
         except _DataAbort as abort:
@@ -971,7 +929,8 @@ class Machine:
             sections_loaded=list(self.sections_loaded),
             aborts=list(self.aborts),
             exfiltrated=dict(self.exfiltrated),
-            reached_entry=reached,
+            # Only stage 2, entered past ARM9's jump, powers off.
+            reached_entry=outcome in (BootOutcome.REACHED_ENTRY, BootOutcome.SHUTDOWN),
             outcome=outcome,
             locks_final=self.locks.as_dict(),
             events=self.event_log[first_event:],
@@ -1024,6 +983,10 @@ def run_boot(
     return machine._execute_boot(registry, parser)
 
 
+def _image_bytes(image: FirmImage | bytes) -> bytes:
+    return firmmod.serialize(image) if isinstance(image, FirmImage) else bytes(image)
+
+
 def run_exploit_chain(
     machine: Machine,
     staged_image: FirmImage | bytes,
@@ -1037,19 +1000,9 @@ def run_exploit_chain(
     image from SD, engages the locks (enabling FCRAM), and continues.
     """
     if second_image is not None:
-        content = (
-            firmmod.serialize(second_image)
-            if isinstance(second_image, FirmImage)
-            else bytes(second_image)
-        )
-        machine.sd_store[SD_CHAIN_NAME] = content
+        machine.sd_store[SD_CHAIN_NAME] = _image_bytes(second_image)
     machine.inputs = replace(machine.inputs, keys_held=frozenset(keys_held))
-    image_bytes = (
-        firmmod.serialize(staged_image)
-        if isinstance(staged_image, FirmImage)
-        else bytes(staged_image)
-    )
-    return run_boot(machine, image_bytes)
+    return run_boot(machine, _image_bytes(staged_image))
 
 
 def run_ntr_install_scenario(
@@ -1060,12 +1013,7 @@ def run_ntr_install_scenario(
     Returns the follow-up NAND boot's report on success, or the failed
     cartridge boot's report when the cartridge image is rejected.
     """
-    cart_bytes = (
-        firmmod.serialize(flashcart_image)
-        if isinstance(flashcart_image, FirmImage)
-        else bytes(flashcart_image)
-    )
-    machine.insert_cartridge(cart_bytes)
+    machine.insert_cartridge(_image_bytes(flashcart_image))
     machine.inputs = BootInputs(
         keys_held=NTR_BOOT_COMBO,
         shell_closed=True,

@@ -482,6 +482,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except firm.FirmParseError as exc:
+        # A malformed image fails the check, as `boot` reports it; not a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

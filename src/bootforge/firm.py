@@ -15,8 +15,7 @@ Fixed little-endian layout, normative for this artifact:
 
 The signature covers SHA-256 of header bytes 0x000-0x0FF.  Keys smaller
 than 2048 bits left-justify their block in the signature field; the
-remainder stays zero.  At-rest encryption is modeled by `NullCipher`,
-an identity transform: the attack is independent of the bulk cipher.
+remainder stays zero.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "FirmImage",
     "FirmParseError",
     "FirmValidation",
-    "NullCipher",
     "HEADER_LENGTH",
     "SIGNATURE_FIELD_LENGTH",
     "build_firm",
@@ -104,18 +102,6 @@ class FirmParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset:#x})")
         self.offset = offset
-
-
-class NullCipher:
-    """Identity stand-in for the at-rest bulk cipher."""
-
-    name = "null"
-
-    def encrypt(self, data: bytes) -> bytes:
-        return data
-
-    def decrypt(self, data: bytes) -> bytes:
-        return data
 
 
 def build_firm(

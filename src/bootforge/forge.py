@@ -173,8 +173,7 @@ def _run_chain(
 ) -> Optional[ForgeResult]:
     """One multiplicative chain; returns a confirmed hit or None."""
     classify = make_classifier(config)
-    stream = ByteStream(derive_seed(worker_seed, "search-worker", worker_index))
-    r = 2 + stream.int_below(n - 3)
+    r = draw_root(worker_seed, worker_index, n)
     k = mod_exp(r, e, n)
     top_byte_zero = 1 << (8 * block_length - 8)
 

@@ -46,19 +46,12 @@ _MILLER_RABIN_ROUNDS = 40
 
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by left-to-right square and multiply."""
+    """base**exp mod modulus, refusing the moduli and exponents RSA never uses."""
     if modulus <= 1:
         raise ValueError("modulus must be > 1")
     if exp < 0:
         raise ValueError("exponent must be non-negative")
-    result = 1
-    acc = base % modulus
-    while exp:
-        if exp & 1:
-            result = result * acc % modulus
-        acc = acc * acc % modulus
-        exp >>= 1
-    return result
+    return pow(base, exp, modulus)
 
 
 def to_fixed_bytes(value: int, block_length: int) -> bytes:
@@ -239,15 +232,6 @@ class KeyRegistry:
     def block_length(self, console: Console, sig_type: SignatureType) -> int:
         n, _ = self.get(console, sig_type)
         return (n.bit_length() + 7) // 8
-
-    @classmethod
-    def from_keypairs(
-        cls, pairs: dict[tuple[Console, SignatureType], RsaKeyPair]
-    ) -> "KeyRegistry":
-        registry = cls()
-        for (console, sig_type), key in pairs.items():
-            registry.assign(console, sig_type, key.public)
-        return registry
 
 
 # --- key and registry files -------------------------------------------------

@@ -14,6 +14,8 @@ import hashlib
 
 __all__ = ["ByteStream", "derive_seed", "parse_seed"]
 
+BLOCK_SIZE = 32  # one SHA-256 digest
+
 
 def parse_seed(seed: bytes | str) -> bytes:
     """Normalize a seed given as raw bytes or a hex string."""
@@ -43,25 +45,25 @@ class ByteStream:
         self._buf = b""
         self._pos = 0
 
-    def _refill(self) -> None:
-        self._buf = hashlib.sha256(
-            self._seed + self._counter.to_bytes(8, "big")
-        ).digest()
-        self._counter += 1
-        self._pos = 0
-
     def take(self, count: int) -> bytes:
         """Return the next `count` bytes of the stream."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        out = bytearray()
-        while len(out) < count:
-            if self._pos >= len(self._buf):
-                self._refill()
-            chunk = self._buf[self._pos : self._pos + count - len(out)]
-            out += chunk
-            self._pos += len(chunk)
-        return bytes(out)
+        head = self._buf[self._pos : self._pos + count]
+        self._pos += len(head)
+        missing = count - len(head)
+        if not missing:
+            return head
+        first = self._counter
+        self._counter += -(-missing // BLOCK_SIZE)
+        seed = self._seed
+        blocks = [
+            hashlib.sha256(seed + i.to_bytes(8, "big")).digest()
+            for i in range(first, self._counter)
+        ]
+        self._buf = blocks[-1]
+        self._pos = missing - BLOCK_SIZE * (len(blocks) - 1)
+        return b"".join([head, *blocks])[:count]
 
     def take_nonzero(self, count: int) -> bytes:
         """Return `count` stream bytes with zero bytes filtered out."""

@@ -207,14 +207,11 @@ class ParserConfig:
 
     mode: ParserMode = ParserMode.FLAWED
     target_window: frozenset = frozenset()
-    compare_length: int = HASH_LENGTH
     block_types: frozenset = frozenset({0x01, 0x02})
     require_walk: bool = True
     check_type_bytes: bool = False
 
     def __post_init__(self):
-        if self.compare_length != HASH_LENGTH:
-            raise ValueError("compare_length is fixed at 0x20")
         object.__setattr__(self, "target_window", frozenset(self.target_window))
         object.__setattr__(self, "block_types", frozenset(self.block_types))
 

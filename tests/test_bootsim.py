@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -44,6 +45,51 @@ def nand_sig(nand_key):
 @pytest.fixture()
 def staged(nand_sig):
     return build_exploit_image(nand_sig)
+
+
+def restaged(nand_sig, edit):
+    """The staged image rebuilt from `edit` applied to its section entries."""
+    image = build_exploit_image(nand_sig)
+    entries = [(s.phys_addr, s.copy_method, p) for s, p in zip(image.sections, image.payloads)]
+    rebuilt = build_firm(
+        edit(entries), arm9_entry=image.arm9_entry, arm11_entry=image.arm11_entry
+    )
+    return fakesign_firm(rebuilt, nand_sig)
+
+
+def without_arm11_section(nand_sig):
+    """ARM11 never raises its flag, so both processors end up waiting."""
+    return restaged(nand_sig, lambda entries: entries[1:])
+
+
+def without_hook_b(nand_sig):
+    """The abort handler installs only ARM9's first hook: ARM11 runs its
+    hook while ARM9 locks, so the FPTR_A mark's turn shows in the log."""
+    def clear_hook_b(entries):
+        addr, method, payload = entries[1]
+        entries[1] = (addr, method, payload[:12] + bytes(4) + payload[16:])
+        return entries
+
+    return restaged(nand_sig, clear_hook_b)
+
+
+def build_flashcart(slot_keys, console=Console.RETAIL, sig_type=SignatureType.NON_NAND_BOOT):
+    cart_key = slot_keys[(console, sig_type)]
+    nand_key = slot_keys[(console, SignatureType.NAND_BOOT)]
+    nand_sig = forge_with_private_key(
+        nand_key, nand_key.block_length, b"ntr-nand"
+    ).signature_bytes()
+    cart_sig = forge_with_private_key(
+        cart_key, cart_key.block_length, b"ntr-cart"
+    ).signature_bytes()
+    nand_staged = build_exploit_image(nand_sig)
+    second = honest_image(nand_key)
+    return build_exploit_image(
+        cart_sig,
+        stage2="install",
+        install_nand_image=serialize(nand_staged),
+        install_sd_image=serialize(second),
+    )
 
 
 def honest_image(key):
@@ -280,35 +326,14 @@ class TestExploitChain:
         assert any(e.kind == "chain_missing" for e in report.events)
 
     def test_missing_handler_section_halts(self, machine, nand_sig):
-        image = build_exploit_image(nand_sig)
-        # strip section 1 (the handler blob area): replace with junk elsewhere
-        gutted = build_firm(
-            [
-                (bootsim.ARM11_WRAM_BASE + 0x100, CopyMethod.CPU_MEMCPY, image.payloads[0]),
-                (NDMA_WINDOW_BASE, CopyMethod.NDMA, image.payloads[2]),
-                (0x00000000, CopyMethod.CPU_MEMCPY, image.payloads[3]),
-            ],
-            arm9_entry=image.arm9_entry,
-            arm11_entry=image.arm11_entry,
-        )
-        gutted = fakesign_firm(gutted, nand_sig)
+        # strip section 1 (the handler blob area)
+        gutted = restaged(nand_sig, lambda entries: [entries[0], *entries[2:]])
         report = run_exploit_chain(machine, gutted, keys_held=DUMP_COMBO)
         assert report.outcome is BootOutcome.HALT
         assert (0, False) in report.aborts
 
     def test_missing_arm11_section_trips_watchdog(self, machine, nand_sig):
-        image = build_exploit_image(nand_sig)
-        gutted = build_firm(
-            [
-                (0x08001000, CopyMethod.CPU_MEMCPY, image.payloads[1]),
-                (NDMA_WINDOW_BASE, CopyMethod.NDMA, image.payloads[2]),
-                (0x00000000, CopyMethod.CPU_MEMCPY, image.payloads[3]),
-            ],
-            arm9_entry=image.arm9_entry,
-            arm11_entry=image.arm11_entry,
-        )
-        gutted = fakesign_firm(gutted, nand_sig)
-        report = run_exploit_chain(machine, gutted, keys_held=DUMP_COMBO)
+        report = run_exploit_chain(machine, without_arm11_section(nand_sig), keys_held=DUMP_COMBO)
         assert report.outcome is BootOutcome.HALT
         assert any(e.kind == "watchdog" for e in report.events)
 
@@ -330,33 +355,15 @@ class TestExploitChain:
 
 
 class TestNtrScenario:
-    def build_flashcart(self, slot_keys, console=Console.RETAIL, sig_type=SignatureType.NON_NAND_BOOT):
-        cart_key = slot_keys[(console, sig_type)]
-        nand_key = slot_keys[(console, SignatureType.NAND_BOOT)]
-        nand_sig = forge_with_private_key(
-            nand_key, nand_key.block_length, b"ntr-nand"
-        ).signature_bytes()
-        cart_sig = forge_with_private_key(
-            cart_key, cart_key.block_length, b"ntr-cart"
-        ).signature_bytes()
-        nand_staged = build_exploit_image(nand_sig)
-        second = honest_image(nand_key)
-        return build_exploit_image(
-            cart_sig,
-            stage2="install",
-            install_nand_image=serialize(nand_staged),
-            install_sd_image=serialize(second),
-        )
-
     def test_install_and_follow_up_boot(self, machine, slot_keys):
-        report = run_ntr_install_scenario(machine, self.build_flashcart(slot_keys))
+        report = run_ntr_install_scenario(machine, build_flashcart(slot_keys))
         assert report.boot_source is BootSource.NAND
         assert report.reached_entry
         assert any(e.kind == "nand_install" for e in machine.event_log)
         assert machine.nand_store  # the staged image persists in NAND
 
     def test_wrong_key_slot_is_rejected(self, machine, slot_keys):
-        flashcart = self.build_flashcart(
+        flashcart = build_flashcart(
             slot_keys, sig_type=SignatureType.NAND_BOOT
         )  # NAND-slot signature on the cartridge path
         report = run_ntr_install_scenario(machine, flashcart)
@@ -369,6 +376,44 @@ class TestNtrScenario:
         report = run_boot(machine)
         assert report.boot_source is BootSource.NAND
         assert not any(e.kind == "boot_source_ntrcart" for e in report.events)
+
+
+def run_scenario(name, registry, slot_keys, nand_key, nand_sig):
+    staged = build_exploit_image(nand_sig)
+    if name == "hardened":
+        machine = Machine(b"test-machine", registry, policy=BlacklistPolicy.HARDENED)
+        return run_exploit_chain(machine, staged, keys_held=DUMP_COMBO)
+    machine = Machine(b"test-machine", registry)
+    if name == "honest":
+        return run_boot(machine, serialize(honest_image(nand_key)))
+    if name == "dump":
+        return run_exploit_chain(machine, staged, keys_held=DUMP_COMBO)
+    if name == "chain":
+        return run_exploit_chain(machine, staged, second_image=honest_image(nand_key))
+    if name == "ntr":
+        return run_ntr_install_scenario(machine, build_flashcart(slot_keys))
+    gutted = {"stall": without_arm11_section, "no_hook_b": without_hook_b}[name](nand_sig)
+    return run_exploit_chain(machine, gutted, keys_held=DUMP_COMBO)
+
+
+# sha256 of report JSON + event log per scenario.  Where each processor's
+# turn ends decides the event order, so these pin the scheduler's turns too.
+PINNED_DIGESTS = {
+    "honest": "a8e5d508dfd342035721eafa42fd6a5fd03ff218a56377ab3300172f4b01d759",
+    "dump": "a38765379dd2cb51b00fccd3cb5945b3b536348f131ac5716d3def9c4214c662",
+    "chain": "c5fd6077b764c8b8adb68bb96ba928793679d12067dc13a5702b35d7e8573305",
+    "ntr": "c06c01b5ff867cdcaa51acbcb31a1d76d701c36f94bfc36cfd89f70f83898e8e",
+    "hardened": "af181216498e9ac68d1905bd7c0bc9d7c1683d26e76541fa34663ad70e21d398",
+    "stall": "d47749f849d61d4a1ec0817f841d69fa26cbf9778156744bf27245c8b74ea7b2",
+    "no_hook_b": "aacaef4397be0b780da5c14ef09dc2684473cbe35754a008f21ed9fea5a8a4cd",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+def test_scenario_digests_are_pinned(name, registry, slot_keys, nand_key, nand_sig):
+    report = run_scenario(name, registry, slot_keys, nand_key, nand_sig)
+    text = report.to_json() + report.event_log_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[name]
 
 
 def test_report_json_is_stable(machine, nand_key):

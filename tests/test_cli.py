@@ -112,6 +112,16 @@ class TestImagePipeline:
              "--slot", "retail.nand", "--mode", "strict"]
         )
         assert (flawed, strict) == (0, 1)
+        # A malformed image is a failed check for both commands, not a usage error.
+        Path("truncated.firm").write_bytes(Path("fake.firm").read_bytes()[:-0x10])
+        verify = main(
+            ["verify", "--image", "truncated.firm", "--key-dir", str(key_dir),
+             "--slot", "retail.nand"]
+        )
+        boot = main(
+            ["boot", "--image", "truncated.firm", "--key-dir", str(key_dir), "--seed", SEED]
+        )
+        assert (verify, boot) == (1, 1)
 
     def test_honest_sign_verifies_strict(self, workspace, key_dir):
         plain = build_plain_image(workspace)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bootforge.firm import (
     CopyMethod,
     FirmParseError,
-    NullCipher,
     build_firm,
     fakesign_firm,
     header_digest,
@@ -262,14 +261,6 @@ class TestSignatures:
             fakesign_firm(plain_image, 12345)
         image = fakesign_firm(plain_image, 12345, block_length=64)
         assert image.signature[:64] == (12345).to_bytes(64, "big")
-
-
-def test_null_cipher_is_identity():
-    cipher = NullCipher()
-    blob = bytes(range(256))
-    assert cipher.encrypt(blob) == blob
-    assert cipher.decrypt(blob) == blob
-    assert cipher.decrypt(cipher.encrypt(blob)) == blob
 
 
 def test_build_descriptor_loader(tmp_path):
