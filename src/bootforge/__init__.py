@@ -21,6 +21,7 @@ from .sigparser import (
     StackModel,
     Verdict,
     classify_plaintext,
+    exact_hit_probability,
     flawed_parse,
     strict_parse,
 )

@@ -22,7 +22,7 @@ from . import bootsim, firm, forge, modmath, sigparser
 from .bootsim import BlacklistPolicy, BootInputs, BootOutcome, Machine
 from .modmath import Console, KeyRegistry, SignatureType, REGISTRY_SLOTS
 from .prng import derive_seed
-from .sigparser import ParserConfig, ParserMode, StackModel
+from .sigparser import ParserConfig, StackModel
 
 _POLICIES = {
     "boot9only": BlacklistPolicy.BOOT9_DATA_ONLY,

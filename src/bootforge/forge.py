@@ -15,10 +15,19 @@ walk to a chosen landing offset:
   doubles throughput.
 
 `estimate_hit_probability` measures the probability that a uniformly
-random block satisfies a classification predicate.  Note the search
-tests values uniform modulo n rather than uniform bit strings; for
-full-size moduli the difference is at most the fraction cut off the top
-byte, well inside the tolerance the acceptance band allows.
+random block satisfies a classification predicate, and
+`exact_hit_probability` (from `sigparser`, re-exported here) gives the
+same probability in closed form.  The
+search tests values uniform modulo n rather than uniform bytes.  Such a
+value has a zero top byte with probability 2^(8(bl-1)) / n, and given
+that, its low bl-1 bytes are exactly uniform.  Its per-value hit
+probability is therefore exactly
+
+    p_search = p_bytes * 256 * 2^(8(bl-1)) / n
+
+where p_bytes is the uniform-bytes probability (which carries the 1/256
+for the zero top byte).  For a modulus of exactly 8*bl bits the factor
+256 * 2^(8(bl-1)) / n lies in (1, 2].
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import numpy as np
 
 from .modmath import RsaKeyPair, from_fixed_bytes, mod_exp, raw_sign, raw_verify, to_fixed_bytes
 from .prng import ByteStream, derive_seed
-from .sigparser import ParserConfig, ParserMode, make_classifier
+from .sigparser import ParserConfig, ParserMode, exact_hit_probability, make_classifier
 
 __all__ = [
     "ForgeResult",
@@ -43,6 +52,7 @@ __all__ = [
     "forge_with_private_key",
     "brute_force_search",
     "estimate_hit_probability",
+    "exact_hit_probability",
     "draw_root",
     "write_forge_result",
 ]
@@ -51,6 +61,8 @@ __all__ = [
 # landing offset, the walk reads headers at t+1..t+4 and skips 26 content
 # bytes, the same tail shape as the published exploit block.
 _PREFERRED_INNER_LEN = 0x1A
+
+_ESTIMATE_DRAW_BYTES = 1 << 20  # random bytes per estimator draw
 
 _STOP_CHECK_MASK = 0x3FF      # poll the stop flag every 1024 iterations
 _COUNTER_SYNC_MASK = 0xFFF    # publish attempt counts every 4096 iterations
@@ -368,39 +380,40 @@ def estimate_hit_probability(
     config: ParserConfig,
     samples: int,
     seed: bytes | str,
-    chunk_size: int = 1 << 20,
 ) -> HitProbability:
     """Monte-Carlo estimate of Pr[predicate] over uniform random blocks.
 
-    Blocks are drawn in bulk with a seeded PCG64 generator; candidates
-    surviving the two-byte prefix filter are run through the full
-    classifier.  With `require_walk` false in the config, only the
+    Blocks are cut from the raw 64-bit output of a seeded PCG64
+    generator, read as little-endian bytes, about 1 MiB per draw; these
+    are exactly the bytes `rng.integers(0, 256, dtype=np.uint8)` would
+    give, so a seed's hit count does not depend on the draw size.
+    Candidates surviving the two-byte prefix filter are run through the
+    full classifier.  With `require_walk` false in the config, only the
     prefix check counts (useful for calibrating the estimator against
     analytically known probabilities).
     """
     if samples < 10**5:
         raise ValueError("need at least 1e5 samples for a meaningful estimate")
     rng = np.random.default_rng(int.from_bytes(derive_seed(seed, "estimate"), "big"))
-    classify = (
-        make_classifier(config) if config.require_walk else None
-    )
-    allowed = sorted(config.block_types)
+    classify = make_classifier(config) if config.require_walk else None
+    type_ok = np.zeros(256, dtype=bool)
+    type_ok[[b for b in config.block_types if 0 <= b <= 0xFF]] = True
+    # A whole number of 64-bit words per draw keeps the byte stream unbroken.
+    rows_per_draw = max(8, _ESTIMATE_DRAW_BYTES // block_length // 8 * 8)
 
     hits = 0
     remaining = samples
     while remaining > 0:
-        count = min(chunk_size, remaining)
+        count = min(rows_per_draw, remaining)
         remaining -= count
-        arr = rng.integers(0, 256, size=(count, block_length), dtype=np.uint8)
-        mask = arr[:, 0] == 0
-        type_mask = np.zeros(count, dtype=bool)
-        for value in allowed:
-            type_mask |= arr[:, 1] == value
-        mask &= type_mask
+        words = rng.bit_generator.random_raw(-(-count * block_length // 8))
+        flat = words.astype("<u8", copy=False).view(np.uint8)
+        blocks = flat[: count * block_length].reshape(count, block_length)
+        mask = (blocks[:, 0] == 0) & type_ok[blocks[:, 1]]
         if classify is None:
-            hits += int(mask.sum())
+            hits += int(np.count_nonzero(mask))
             continue
-        for row in arr[mask]:
+        for row in blocks[mask]:
             if classify(row.tobytes()) is not None:
                 hits += 1
     p_hat = hits / samples

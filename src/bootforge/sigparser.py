@@ -31,7 +31,7 @@ never fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -48,6 +48,7 @@ __all__ = [
     "strict_parse",
     "classify_plaintext",
     "make_classifier",
+    "exact_hit_probability",
     "pkcs1_digest_block",
     "SHA256_DIGEST_INFO",
     "HASH_LENGTH",
@@ -370,6 +371,42 @@ def make_classifier(config: ParserConfig) -> Callable[[bytes], Optional[int]]:
         return landing
 
     return classify
+
+
+def exact_hit_probability(block_length: int, config: ParserConfig) -> float:
+    """Exact probability that `make_classifier(config)` accepts a block of
+    independent uniform bytes.
+
+    The flag bytes pass with probability len(block_types) / 65536, and
+    with `require_walk` false that is the whole predicate.  The walk then
+    needs its terminator t (the first zero byte from offset 2 on) with
+    the inner length byte at t + 4 inside the block; t is the first zero
+    with probability (255/256)^(t-2) / 256, and the bytes after it stay
+    uniform.  A hit needs an inner length L with t + 7 + L in the target
+    window.  Under `check_type_bytes` the two 0x30 type bytes and the
+    0x04 final type byte each pass with probability 1/256, and the final
+    type byte at t + 5 + L must lie inside the block.
+    """
+    prefix = sum(0 <= b <= 0xFF for b in config.block_types) / 65536
+    if not config.require_walk:
+        return prefix
+    if config.mode is not ParserMode.FLAWED:
+        raise ValueError("classification is defined for the flawed parser only")
+    if block_length < 8:
+        return 0.0
+    window = config.target_window
+    total = 0.0
+    for t in range(2, block_length - _INNER_LEN):
+        landings = range(t + _LANDING_AFTER_INNER, t + _LANDING_AFTER_INNER + 256)
+        if config.check_type_bytes:
+            # final_pos = t + _INNER_CONTENT + L < block_length
+            stop = block_length - _INNER_CONTENT + _LANDING_AFTER_INNER
+            landings = range(landings.start, min(landings.stop, stop))
+        steering = len(window.intersection(landings))
+        total += (255 / 256) ** (t - 2) / 256 * steering / 256
+    if config.check_type_bytes:
+        total /= 256**3
+    return prefix * total
 
 
 def classify_plaintext(block: bytes, config: ParserConfig) -> Optional[int]:

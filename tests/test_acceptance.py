@@ -38,6 +38,7 @@ from bootforge.forge import (
     brute_force_search,
     craft_exploit_plaintext,
     estimate_hit_probability,
+    exact_hit_probability,
     forge_with_private_key,
 )
 from bootforge.modmath import (
@@ -158,7 +159,7 @@ def test_criterion_2_self_comparison_trap(acceptance_key):
     report_line(2, accepted == 100, f"{accepted}/100 random calculated hashes accepted")
 
 
-def test_criterion_3_desk_scale_search(measured_p, search_results):
+def test_criterion_3_desk_scale_search(measured_p, search_results, relaxed_config):
     started = time.perf_counter()
     p_hat = measured_p.p_hat
     in_band = 2**-22 <= p_hat <= 2**-18
@@ -166,11 +167,15 @@ def test_criterion_3_desk_scale_search(measured_p, search_results):
     median = statistics.median(attempts)
     lo, hi = 1 / (4 * p_hat), 4 / p_hat
     median_ok = lo <= median <= hi
+    # Independent check: the closed-form p lies in the estimate's 95% CI.
+    exact = exact_hit_probability(BL, relaxed_config)
+    exact_ok = measured_p.ci_low <= exact <= measured_p.ci_high
     elapsed = time.perf_counter() - started
     report_line(
         3,
-        in_band and median_ok and len(attempts) >= 10,
+        in_band and median_ok and exact_ok and len(attempts) >= 10,
         f"p-hat={p_hat:.3e} (hits={measured_p.hits}/{measured_p.samples}), "
+        f"exact p={exact:.3e} within CI [{measured_p.ci_low:.3e}, {measured_p.ci_high:.3e}], "
         f"median attempts={median:.0f} within [{lo:.0f}, {hi:.0f}] over {len(attempts)} runs",
     )
 

@@ -3,7 +3,9 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bootforge.forge import (
@@ -11,10 +13,12 @@ from bootforge.forge import (
     craft_exploit_plaintext,
     draw_root,
     estimate_hit_probability,
+    exact_hit_probability,
     forge_with_private_key,
     write_forge_result,
 )
 from bootforge.modmath import from_fixed_bytes, raw_verify
+from bootforge.prng import derive_seed
 from bootforge.sigparser import (
     ParserConfig,
     RejectReason,
@@ -207,3 +211,59 @@ class TestHitProbability:
         a = estimate_hit_probability(64, FLAWED_64, 200_000, b"det")
         b = estimate_hit_probability(64, FLAWED_64, 200_000, b"det")
         assert a == b
+
+    def test_paper_size_estimate_contains_exact_p(self):
+        # 2e7 samples at 0x100 bytes, about 133 expected hits: the estimator
+        # at the paper's block size against the closed form.
+        config = ParserConfig.flawed(0x100)
+        estimate = estimate_hit_probability(0x100, config, 2 * 10**7, b"paper-size")
+        assert estimate.ci_low <= exact_hit_probability(0x100, config) <= estimate.ci_high
+
+    @pytest.mark.parametrize("block_length, samples", [(61, 100_003), (0x100, 100_003)])
+    def test_same_blocks_as_one_uint8_draw(self, block_length, samples):
+        # The estimator draws in pieces of about 1 MiB; its blocks must be
+        # exactly those of a single uint8 draw from the same seed.
+        config = ParserConfig(block_types=frozenset(range(0x80)), require_walk=False)
+        rng = np.random.default_rng(int.from_bytes(derive_seed(b"one-draw", "estimate"), "big"))
+        blocks = rng.integers(0, 256, size=(samples, block_length), dtype=np.uint8)
+        expected = int(np.count_nonzero((blocks[:, 0] == 0) & (blocks[:, 1] < 0x80)))
+        estimate = estimate_hit_probability(block_length, config, samples, b"one-draw")
+        assert estimate.hits == expected
+
+    def test_memory_stays_bounded(self):
+        # One draw of every block at once would peak at 256 MiB here.
+        tracemalloc.start()
+        try:
+            estimate_hit_probability(0x100, ParserConfig.flawed(0x100), 10**6, b"alloc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestExactHitProbability:
+    def test_prefix_only_is_the_flag_byte_share(self):
+        for types in ({0x02}, {0x01, 0x02}, {0x00, 0x01, 0x02, 0xFF}):
+            config = ParserConfig(block_types=frozenset(types), require_walk=False)
+            assert exact_hit_probability(64, config) == len(types) / 65536
+
+    @pytest.mark.parametrize(
+        "block_length, config, log2_p",
+        [
+            (64, ParserConfig.flawed(64, window=range(64, 96)), -20.30),
+            (0x100, ParserConfig.flawed(0x100), -17.20),
+            (0x100, ParserConfig.full_structure(0x100), -46.69),
+        ],
+    )
+    def test_reference_values(self, block_length, config, log2_p):
+        assert math.log2(exact_hit_probability(block_length, config)) == pytest.approx(
+            log2_p, abs=0.005
+        )
+
+    def test_empty_window_and_short_block(self):
+        assert exact_hit_probability(64, ParserConfig.flawed(64, window=[])) == 0.0
+        assert exact_hit_probability(7, ParserConfig.flawed(7)) == 0.0
+
+    def test_rejects_strict_config(self):
+        with pytest.raises(ValueError):
+            exact_hit_probability(64, ParserConfig.strict())
