@@ -28,6 +28,7 @@ from .sigparser import (
 from .forge import (
     ForgeResult,
     HitProbability,
+    SearchWorkerError,
     brute_force_search,
     craft_exploit_plaintext,
     estimate_hit_probability,

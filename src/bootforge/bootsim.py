@@ -48,7 +48,7 @@ from typing import Optional
 from . import firm as firmmod
 from .firm import CopyMethod, FirmImage, FirmParseError, SectionHeader
 from .modmath import Console, KeyRegistry, SignatureType
-from .prng import ByteStream, derive_seed
+from .prng import BLOCK_SIZE, derive_seed, stream_blocks
 from .sigparser import ParseOutcome, ParserConfig, StackModel, Verdict
 
 __all__ = [
@@ -120,6 +120,15 @@ TAG_HOOK11 = b"B11HOOK\x00"       # fields: staging
 TAG_STAGE2_ARM9 = b"STAGE2A9"     # fields: boot9_copy_addr, boot11_copy_addr
 TAG_STAGE2_INSTALL = b"STAGE2IN"  # fields: nand_len, sd_len; then two payloads
 TAG_STAGE2_ARM11 = b"STAGE211"    # no fields
+_BLOB_FIELDS = {
+    TAG_ABORT_HANDLER: 2,
+    TAG_HOOK1: 1,
+    TAG_HOOK2: 3,
+    TAG_HOOK11: 1,
+    TAG_STAGE2_ARM9: 2,
+    TAG_STAGE2_INSTALL: 2,
+    TAG_STAGE2_ARM11: 0,
+}
 
 
 class RegionKind(Enum):
@@ -175,9 +184,8 @@ MEMORY_REGIONS: tuple[Region, ...] = (
 # Address resolution priority: specific rows shadow the wide I/O and
 # FCRAM rows; the ROM row shadows its blacklist alias.
 _DISPATCH_ORDER = (3, 2, 5, 4, 8, 9, 7, 10, 6, 1, 0)
-_DISPATCH: tuple[Region, ...] = tuple(
-    next(r for r in MEMORY_REGIONS if r.rid == rid) for rid in _DISPATCH_ORDER
-)
+_DISPATCH: tuple[Region, ...] = tuple(MEMORY_REGIONS[rid] for rid in _DISPATCH_ORDER)
+_NDMA_WINDOW = Region(-1, NDMA_WINDOW_BASE, NDMA_WINDOW_SIZE, RegionKind.IO_REGISTERS, "io")
 
 
 def _resolve(addr: int) -> Optional[Region]:
@@ -288,7 +296,7 @@ def check_blacklist(dst: int, size: int, policy: BlacklistPolicy) -> bool:
     if dst < VECTOR_PAGE_BASE + 0x1000 and dst + size > VECTOR_PAGE_BASE:
         return False
     for rid in (8, 9):
-        if next(r for r in MEMORY_REGIONS if r.rid == rid).overlaps(dst, size):
+        if MEMORY_REGIONS[rid].overlaps(dst, size):
             return False
     addr = dst
     end = dst + size
@@ -325,44 +333,61 @@ class _PowerOff(Exception):
 _WAITING = object()  # what a script yields for a turn spent on a failed poll
 
 
-class _PagedStore:
-    """Sparse zero-initialized RAM."""
+_PAGE = 0x1000
+_ZERO_PAGE = bytes(_PAGE)
 
-    PAGE = 0x1000
+
+class _PagedStore:
+    """Sparse zero-initialized RAM: a page exists once a nonzero byte lands on it."""
 
     def __init__(self) -> None:
         self._pages: dict[int, bytearray] = {}
 
+    def _page(self, page: int) -> bytes | bytearray:
+        return self._pages.get(page, _ZERO_PAGE)
+
     def read(self, offset: int, count: int) -> bytes:
-        out = bytearray()
+        parts = []
         while count > 0:
-            page, within = divmod(offset, self.PAGE)
-            chunk = min(count, self.PAGE - within)
-            data = self._pages.get(page)
-            if data is None:
-                out += b"\x00" * chunk
-            else:
-                out += data[within : within + chunk]
+            page, within = divmod(offset, _PAGE)
+            chunk = min(count, _PAGE - within)
+            parts.append(self._page(page)[within : within + chunk])
             offset += chunk
             count -= chunk
-        return bytes(out)
+        return b"".join(parts)
 
     def write(self, offset: int, data: bytes) -> None:
         pos = 0
         while pos < len(data):
-            page, within = divmod(offset + pos, self.PAGE)
-            chunk = min(len(data) - pos, self.PAGE - within)
-            buf = self._pages.setdefault(page, bytearray(self.PAGE))
-            buf[within : within + chunk] = data[pos : pos + chunk]
-            pos += chunk
+            page, within = divmod(offset + pos, _PAGE)
+            end = min(len(data), pos + _PAGE - within)
+            buf = self._pages.get(page)
+            if buf is None:
+                if data.count(0, pos, end) == end - pos:
+                    pos = end  # zeros onto an absent page change nothing
+                    continue
+                buf = self._pages[page] = bytearray(_PAGE)
+            buf[within : within + end - pos] = data[pos:end]
+            pos = end
 
 
-class _RomStore:
-    def __init__(self, content: bytes):
-        self._content = content
+class _RomStore(_PagedStore):
+    """Read-only boot ROM: the byte stream keyed by `seed`, derived a page
+    at a time the first time a read touches that page."""
 
-    def read(self, offset: int, count: int) -> bytes:
-        return self._content[offset : offset + count]
+    _BLOCKS_PER_PAGE = _PAGE // BLOCK_SIZE
+
+    def __init__(self, seed: bytes):
+        super().__init__()
+        self._seed = seed
+
+    def _page(self, page: int) -> bytes:
+        data = self._pages.get(page)
+        if data is None:
+            first = page * self._BLOCKS_PER_PAGE
+            data = stream_blocks(self._seed, first, first + self._BLOCKS_PER_PAGE)
+            self._pages[page] = data
+        return data
 
     def write(self, offset: int, data: bytes) -> None:
         raise RuntimeError("ROM store is not writable")
@@ -405,9 +430,12 @@ class Machine:
     """One simulated console.
 
     ROM contents and the verifier's stack junk are pseudorandom bytes
-    derived from the construction seed.  Non-volatile stores (NAND, the
-    cartridge slot, SPI flash, the SD card) persist across boots;
-    everything else is rebuilt by each boot.
+    derived from the construction seed.  Each ROM derives a 4 KiB page
+    the first time a read touches it and keeps it for the machine's
+    life, so a boot that never reads a ROM never pays for one.
+    Non-volatile stores (NAND, the cartridge slot, SPI flash, the SD
+    card) and the ROMs persist across boots; everything else is rebuilt
+    by each boot.
     """
 
     def __init__(
@@ -428,8 +456,10 @@ class Machine:
         self.force_boot_source = force_boot_source
         self.workdir = Path(workdir) if workdir else None
 
-        self.boot9_rom = ByteStream(derive_seed(self.seed, "boot9-rom")).take(ROM_SIZE)
-        self.boot11_rom = ByteStream(derive_seed(self.seed, "boot11-rom")).take(ROM_SIZE)
+        self._roms = {
+            "boot9rom": _RomStore(derive_seed(self.seed, "boot9-rom")),
+            "boot11rom": _RomStore(derive_seed(self.seed, "boot11-rom")),
+        }
 
         self.inputs = BootInputs()
         self.nand_store: bytes = b""
@@ -451,8 +481,7 @@ class Machine:
             "dtcm": _PagedStore(),
             "itcm": _PagedStore(),
             "arm11wram": _PagedStore(),
-            "boot9rom": _RomStore(self.boot9_rom),
-            "boot11rom": _RomStore(self.boot11_rom),
+            **self._roms,
         }
         self.locks = LockRegister()
         self.aborts: list[tuple[int, bool]] = []
@@ -464,12 +493,20 @@ class Machine:
         return StackModel.boot9(block_length, seed=derive_seed(self.seed, "boot9-stack"))
 
     @property
+    def boot9_rom(self) -> bytes:
+        return self._roms["boot9rom"].read(0, ROM_SIZE)
+
+    @property
+    def boot11_rom(self) -> bytes:
+        return self._roms["boot11rom"].read(0, ROM_SIZE)
+
+    @property
     def protected_boot9(self) -> bytes:
-        return self.boot9_rom[PROTECTED_HALF:]
+        return self._roms["boot9rom"].read(PROTECTED_HALF, PROTECTED_HALF)
 
     @property
     def protected_boot11(self) -> bytes:
-        return self.boot11_rom[PROTECTED_HALF:]
+        return self._roms["boot11rom"].read(PROTECTED_HALF, PROTECTED_HALF)
 
     def insert_cartridge(self, image_bytes: bytes) -> None:
         self.cart_store = bytes(image_bytes)
@@ -503,7 +540,7 @@ class Machine:
 
     def read_phys(self, addr: int, count: int, proc: int = 9) -> bytes:
         """Physical read; locked protected-ROM bytes read as zeros."""
-        out = bytearray()
+        parts = []
         while count > 0:
             region = _resolve(addr)
             if region is None:
@@ -511,19 +548,15 @@ class Machine:
             chunk = min(count, region.end - addr)
             offset = region.store_offset + (addr - region.base)
             store = self.stores[region.store]
-            data = store.read(offset, chunk)
-            if (
-                region.store in ("boot9rom", "boot11rom")
-                and self._rom_locked(region.store)
-                and offset + chunk > PROTECTED_HALF
-            ):
+            if self._rom_locked(region.store) and offset + chunk > PROTECTED_HALF:
                 cut = max(0, PROTECTED_HALF - offset)
-                data = data[:cut] + b"\x00" * (chunk - cut)
+                parts += [store.read(offset, cut), bytes(chunk - cut)]
                 self._log(proc, "lock_violation", addr, chunk)
-            out += data
+            else:
+                parts.append(store.read(offset, chunk))
             addr += chunk
             count -= chunk
-        return bytes(out)
+        return b"".join(parts)  # a lone bytes part comes back as it is
 
     def write_phys(self, addr: int, data: bytes, proc: int = 9) -> None:
         pos = 0
@@ -620,8 +653,7 @@ class Machine:
         if not check_blacklist(dst, section.size, self.policy):
             self._log(proc, "blacklist_reject", dst, section.size)
             raise _BootFailure(f"section destination {dst:#x} is blacklisted")
-        window = Region(-1, NDMA_WINDOW_BASE, NDMA_WINDOW_SIZE, RegionKind.IO_REGISTERS, "io")
-        if window.overlaps(dst, section.size):
+        if _NDMA_WINDOW.overlaps(dst, section.size):
             self._run_ndma_program(dst, payload, proc)
             return
         if dst <= 0 < dst + section.size:
@@ -634,15 +666,7 @@ class Machine:
     def _read_blob(self, addr: int) -> tuple[bytes, list[int]]:
         try:
             tag = self.read_phys(addr, 8)
-            count = {
-                TAG_ABORT_HANDLER: 2,
-                TAG_HOOK1: 1,
-                TAG_HOOK2: 3,
-                TAG_HOOK11: 1,
-                TAG_STAGE2_ARM9: 2,
-                TAG_STAGE2_INSTALL: 2,
-                TAG_STAGE2_ARM11: 0,
-            }.get(tag)
+            count = _BLOB_FIELDS.get(tag)
             if count is None:
                 return tag, []
             fields = [self.read_u32(addr + 8 + 4 * i) for i in range(count)]

@@ -178,9 +178,13 @@ def _cmd_forge(args, config: WorkspaceConfig) -> int:
     pub = registry.get(console, sig_type)
     block_length = registry.block_length(console, sig_type)
     parser = _parser_config(args, config, block_length)
-    result = forge.brute_force_search(
-        pub, parser, args.workers, seed, args.max_attempts, progress=sys.stdout
-    )
+    try:
+        result = forge.brute_force_search(
+            pub, parser, args.workers, seed, args.max_attempts, progress=sys.stdout
+        )
+    except forge.SearchWorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if result is None:
         print("search exhausted without a hit", file=sys.stderr)
         return 1

@@ -48,6 +48,7 @@ from .sigparser import ParserConfig, ParserMode, exact_hit_probability, make_cla
 __all__ = [
     "ForgeResult",
     "HitProbability",
+    "SearchWorkerError",
     "craft_exploit_plaintext",
     "forge_with_private_key",
     "brute_force_search",
@@ -253,6 +254,16 @@ def _run_chain(
     return None
 
 
+class SearchWorkerError(RuntimeError):
+    """A search worker died without a result: killed by a signal, or exited nonzero."""
+
+    def __init__(self, worker: int, exitcode: int):
+        how = f"was killed by signal {-exitcode}" if exitcode < 0 else f"exited with code {exitcode}"
+        super().__init__(f"search worker {worker} {how}")
+        self.worker = worker
+        self.exitcode = exitcode
+
+
 def _worker_main(n, e, block_length, config, seed, index, budget, stop, results, counter):
     try:
         found = _run_chain(
@@ -281,7 +292,9 @@ def brute_force_search(
     Workers run independent chains from seed-derived roots and share
     only a stop flag and the result slot; the first confirmed hit wins.
     With worker_count == 1 the search runs inline and the attempt
-    sequence is a pure function of the seed.
+    sequence is a pure function of the seed.  Returns None when every
+    worker spent its budget; raises SearchWorkerError when a worker died
+    without a result and none found a hit.
     """
     n, e = pub
     if config.mode is not ParserMode.FLAWED:
@@ -305,33 +318,41 @@ def brute_force_search(
     counters = [multiprocessing.Value("q", 0, lock=False) for _ in range(worker_count)]
     share, extra = divmod(max_attempts, worker_count)
     workers = []
-    for idx in range(worker_count):
-        budget = share + (1 if idx < extra else 0)
-        proc = multiprocessing.Process(
-            target=_worker_main,
-            args=(n, e, block_length, config, seed, idx, budget, stop, results, counters[idx]),
-        )
-        proc.start()
-        workers.append(proc)
+    try:
+        for idx in range(worker_count):
+            budget = share + (1 if idx < extra else 0)
+            proc = multiprocessing.Process(
+                target=_worker_main,
+                args=(n, e, block_length, config, seed, idx, budget, stop, results, counters[idx]),
+            )
+            proc.start()
+            workers.append(proc)
 
-    last_progress = started
-    while any(p.is_alive() for p in workers):
-        time.sleep(0.05)
-        if progress is not None:
-            now = time.perf_counter()
-            if now - last_progress >= 1.0:
-                _emit_progress(progress, sum(c.value for c in counters), started)
-                last_progress = now
-    winner: Optional[ForgeResult] = None
-    while not results.empty():
-        item = results.get()
-        if isinstance(item, Exception):
-            raise item
-        if winner is None:
-            winner = item
-    for proc in workers:
-        proc.join()
+        last_progress = started
+        while any(p.is_alive() for p in workers):
+            time.sleep(0.05)
+            if progress is not None:
+                now = time.perf_counter()
+                if now - last_progress >= 1.0:
+                    _emit_progress(progress, sum(c.value for c in counters), started)
+                    last_progress = now
+        winner: Optional[ForgeResult] = None
+        while not results.empty():
+            item = results.get()
+            if isinstance(item, Exception):
+                raise item
+            if winner is None:
+                winner = item
+    finally:
+        stop.set()
+        for proc in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
     if winner is None:
+        for idx, proc in enumerate(workers):
+            if proc.exitcode != 0:
+                raise SearchWorkerError(idx, proc.exitcode)
         return None
     total_attempts = sum(c.value for c in counters)
     return ForgeResult(

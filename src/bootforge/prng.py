@@ -2,17 +2,21 @@
 
 Every randomized operation in this package draws from a counter-mode
 SHA-256 stream so that identical seeds reproduce identical artifacts:
-block i of the stream is SHA-256(seed || be64(i)).  Sub-streams are
-derived by hashing a label into a fresh seed, which keeps independent
-consumers (key generation, block filler, simulator ROM contents, search
-workers) from sharing state.
+block i of the stream is SHA-256(seed || be64(i)).  Because each block
+depends only on the seed and its index, the stream is random-access:
+`stream_blocks` derives any run of blocks directly, without the ones
+before it.  `ByteStream` reads the stream in order; the simulator's ROM
+store reads it by page, on first use.  Sub-streams are derived by
+hashing a label into a fresh seed, which keeps independent consumers
+(key generation, block filler, simulator ROM contents, search workers)
+from sharing state.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-__all__ = ["ByteStream", "derive_seed", "parse_seed"]
+__all__ = ["ByteStream", "derive_seed", "parse_seed", "stream_blocks"]
 
 BLOCK_SIZE = 32  # one SHA-256 digest
 
@@ -36,6 +40,12 @@ def derive_seed(seed: bytes | str, *labels: str | int) -> bytes:
     return h.digest()
 
 
+def stream_blocks(seed: bytes, first: int, stop: int) -> bytes:
+    """Blocks first..stop-1 of the stream keyed by `seed`, joined."""
+    sha256 = hashlib.sha256
+    return b"".join([sha256(seed + i.to_bytes(8, "big")).digest() for i in range(first, stop)])
+
+
 class ByteStream:
     """Counter-mode SHA-256 pseudorandom byte stream."""
 
@@ -56,14 +66,10 @@ class ByteStream:
             return head
         first = self._counter
         self._counter += -(-missing // BLOCK_SIZE)
-        seed = self._seed
-        blocks = [
-            hashlib.sha256(seed + i.to_bytes(8, "big")).digest()
-            for i in range(first, self._counter)
-        ]
-        self._buf = blocks[-1]
-        self._pos = missing - BLOCK_SIZE * (len(blocks) - 1)
-        return b"".join([head, *blocks])[:count]
+        blocks = stream_blocks(self._seed, first, self._counter)
+        self._buf = blocks[-BLOCK_SIZE:]
+        self._pos = missing - (len(blocks) - BLOCK_SIZE)
+        return head + blocks[:missing]
 
     def take_nonzero(self, count: int) -> bytes:
         """Return `count` stream bytes with zero bytes filtered out."""

@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootforge import bootsim
 from bootforge.bootsim import (
@@ -18,6 +21,7 @@ from bootforge.bootsim import (
     NTR_BOOT_COMBO,
     NdmaRequest,
     PROTECTED_HALF,
+    ROM_SIZE,
     build_exploit_image,
     check_blacklist,
     load_section,
@@ -29,6 +33,7 @@ from bootforge.bootsim import (
 from bootforge.firm import CopyMethod, SectionHeader, build_firm, fakesign_firm, serialize, sign_firm
 from bootforge.forge import forge_with_private_key
 from bootforge.modmath import Console, SignatureType
+from bootforge.prng import ByteStream, derive_seed
 from bootforge.sigparser import ParserConfig, Verdict
 
 
@@ -192,6 +197,114 @@ class TestPhysicalMemory:
         machine.write_phys(0x1FFFE000, b"\x42" * 4)  # narrow alias row
         wide = bootsim.ARM11_WRAM_BASE + 0x7E000
         assert machine.read_phys(wide, 4) == b"\x42" * 4
+
+
+@functools.cache
+def rom_oracle(seed, label: str) -> bytes:
+    """A whole ROM read in order from the start of its stream."""
+    return ByteStream(derive_seed(derive_seed(seed, "machine"), label)).take(ROM_SIZE)
+
+
+ROM_BASES = {9: (BOOT9_ROM_BASE, "boot9-rom"), 11: (BOOT11_ROM_BASE, "boot11-rom")}
+
+
+class TestLazyRom:
+    @pytest.mark.parametrize("seed", [b"test-machine", b"\x00", "5e" * 32, b"rom-seed-3"])
+    def test_roms_equal_the_in_order_stream(self, registry, seed):
+        machine = Machine(seed, registry)
+        assert machine.protected_boot11 == rom_oracle(seed, "boot11-rom")[PROTECTED_HALF:]
+        assert machine.boot9_rom == rom_oracle(seed, "boot9-rom")
+        assert machine.boot11_rom == rom_oracle(seed, "boot11-rom")
+        assert machine.protected_boot9 == rom_oracle(seed, "boot9-rom")[PROTECTED_HALF:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        proc=st.sampled_from([9, 11]),
+        page=st.integers(0, ROM_SIZE // 0x1000),
+        shift=st.integers(-0x40, 0x40),
+        length=st.integers(1, 0x2100),
+        locked=st.booleans(),
+    )
+    def test_unaligned_reads_are_oracle_slices(self, registry, proc, page, shift, length, locked):
+        start = min(max(page * 0x1000 + shift, 0), ROM_SIZE - 1)
+        length = min(length, ROM_SIZE - start)
+        base, label = ROM_BASES[proc]
+        machine = Machine(b"test-machine", registry)
+        if locked:
+            machine.engage_lock(proc)
+        expected = bytearray(rom_oracle(b"test-machine", label)[start : start + length])
+        cut = max(0, PROTECTED_HALF - start)
+        if locked:
+            expected[cut:] = bytes(len(expected[cut:]))
+        logged = len(machine.event_log)
+        assert machine.read_phys(base + start, length) == expected
+        violations = [e.kind for e in machine.event_log[logged:]]
+        assert violations == (["lock_violation"] if locked and cut < length else [])
+
+    @pytest.fixture()
+    def derived_pages(self, monkeypatch):
+        """(ROM label, page) for each page a ROM store derives."""
+        labels = {
+            derive_seed(derive_seed(b"test-machine", "machine"), label): label
+            for label in ("boot9-rom", "boot11-rom")
+        }
+        derived = []
+
+        def recording(seed, first, stop):
+            assert stop - first == 0x1000 // 32
+            derived.append((labels[seed], first // (stop - first)))
+            return real(seed, first, stop)
+
+        real = bootsim.stream_blocks
+        monkeypatch.setattr(bootsim, "stream_blocks", recording)
+        return derived
+
+    @pytest.mark.parametrize(
+        "name, reads_roms",
+        [("honest", False), ("hardened", False), ("stall", False),
+         ("dump", True), ("chain", True), ("ntr", True)],
+    )
+    def test_boots_derive_only_the_pages_they_read(
+        self, derived_pages, name, reads_roms, registry, slot_keys, nand_key, nand_sig
+    ):
+        run_scenario(name, registry, slot_keys, nand_key, nand_sig)
+        protected = {
+            (label, page) for label in ("boot9-rom", "boot11-rom") for page in range(8, 16)
+        }
+        assert len(derived_pages) == len(set(derived_pages))  # each page derived once
+        assert set(derived_pages) == (protected if reads_roms else set())
+
+    def test_locked_reads_derive_no_protected_page(self, derived_pages, machine):
+        machine.engage_lock(9)
+        machine.read_phys(BOOT9_ROM_BASE + PROTECTED_HALF - 0x10, 0x20)
+        assert derived_pages == [("boot9-rom", 7)]
+
+
+class TestPagedStore:
+    FCRAM = 0x20000000
+
+    def test_copying_untouched_ram_allocates_no_page(self, machine):
+        machine.copy_phys(self.FCRAM, self.FCRAM + 0x100000, 0x100000)
+        assert machine.stores["fcram"]._pages == {}
+        assert machine.read_phys(self.FCRAM + 0x100000, 0x100000) == bytes(0x100000)
+
+    def test_zeros_still_overwrite_an_existing_page(self, machine):
+        machine.write_phys(self.FCRAM, b"\xff" * 0x1800)
+        machine.copy_phys(self.FCRAM + 0x10000, self.FCRAM + 0x800, 0x2000)
+        assert sorted(machine.stores["fcram"]._pages) == [0, 1]
+        assert machine.read_phys(self.FCRAM, 0x3000) == b"\xff" * 0x800 + bytes(0x2800)
+
+    @pytest.mark.parametrize(
+        "src, dst, length",
+        [(0x0, 0x7F0, 0x2345), (0x7F0, 0x0, 0x2345), (0x123, 0x124, 0x1FFF), (0x2000, 0x1FFF, 0x1001)],
+    )
+    def test_overlapping_copy_is_a_memmove(self, machine, src, dst, length):
+        pattern = bytes(range(1, 256)) * 0x40  # 0x3FC0 bytes, past every case
+        machine.write_phys(self.FCRAM, pattern)
+        expected = bytearray(pattern)
+        expected[dst : dst + length] = expected[src : src + length]
+        machine.copy_phys(self.FCRAM + src, self.FCRAM + dst, length)
+        assert machine.read_phys(self.FCRAM, len(pattern)) == expected
 
 
 class TestLoadSection:

@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from bootforge import forge
 from bootforge.cli import main
 from bootforge.prng import ByteStream, derive_seed
 
@@ -21,6 +23,10 @@ def key_dir(workspace):
     path = workspace / "keys"
     assert main(["keygen", "--bits", "512", "--seed", SEED, "--key-dir", str(path)]) == 0
     return path
+
+
+def crash_worker(*args):
+    os._exit(9)
 
 
 def read_tree(root: Path) -> dict:
@@ -174,6 +180,17 @@ class TestForgeCommand:
              "--seed", SEED, "--max-attempts", "1000", "--window", "64:64"]
         )
         assert rc == 1
+
+    def test_crashed_worker_is_reported(self, workspace, key_dir, monkeypatch, capsys):
+        monkeypatch.setattr(forge, "_worker_main", crash_worker)
+        rc = main(
+            ["forge", "--key-dir", str(key_dir), "--slot", "retail.nand",
+             "--seed", SEED, "--workers", "2", "--max-attempts", "1000"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: search worker 0 exited with code 9" in err
+        assert "exhausted" not in err
 
 
 class TestEstimateCommand:

@@ -1,14 +1,19 @@
 import io
 import json
 import math
+import multiprocessing
+import os
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bootforge import forge
 from bootforge.forge import (
+    SearchWorkerError,
     brute_force_search,
     craft_exploit_plaintext,
     draw_root,
@@ -31,6 +36,22 @@ from bootforge.sigparser import (
 )
 
 FLAWED_64 = ParserConfig.flawed(64)
+
+
+def crash_worker(*args):
+    os._exit(9)
+
+
+def hang_worker(*args):
+    time.sleep(60)
+
+
+class FailingProgress:
+    def write(self, text):
+        raise RuntimeError("progress sink failed")
+
+    def flush(self):
+        pass
 
 
 class TestCraft:
@@ -148,6 +169,20 @@ class TestBruteForceSearch:
         assert brute_force_search(key512.public, empty, 1, b"s", 10_000) is None
         assert brute_force_search(key512.public, empty, 2, b"s", 10_000) is None
 
+    def test_crashed_worker_is_an_error_not_exhaustion(self, key512, monkeypatch):
+        monkeypatch.setattr(forge, "_worker_main", crash_worker)
+        with pytest.raises(SearchWorkerError, match="worker 0 exited with code 9") as info:
+            brute_force_search(key512.public, FLAWED_64, 2, b"s", 10_000)
+        assert (info.value.worker, info.value.exitcode) == (0, 9)
+
+    def test_parent_failure_terminates_live_workers(self, key512, monkeypatch):
+        monkeypatch.setattr(forge, "_worker_main", hang_worker)
+        with pytest.raises(RuntimeError, match="progress sink failed"):
+            brute_force_search(
+                key512.public, FLAWED_64, 2, b"s", 10_000, progress=FailingProgress()
+            )
+        assert multiprocessing.active_children() == []
+
     def test_rejects_strict_config(self, key512):
         with pytest.raises(ValueError):
             brute_force_search(key512.public, ParserConfig.strict(), 1, b"s", 100)
@@ -192,14 +227,21 @@ class TestHitProbability:
 
     def test_matches_pure_python_monte_carlo(self):
         # Same predicate, two independent sampling routes: the vectorized
-        # estimator against a direct classify loop.
+        # estimator against a direct classify loop.  classify rejects any
+        # block whose two flag bytes are not 00 and an allowed type, so
+        # the loop draws the flag bytes of every sample up front and the
+        # other 62 bytes only for the samples that pass them.
         samples = 10**7
         estimate = estimate_hit_probability(64, FLAWED_64, samples, b"mc-route-a")
         classify = make_classifier(FLAWED_64)
         rng = random.Random(0x5EED)
-        hits = sum(
-            1 for _ in range(samples) if classify(rng.randbytes(64)) is not None
-        )
+        flags = rng.randbytes(2 * samples)
+        hits = 0
+        pos = flags.find(0)
+        while pos >= 0:
+            if pos % 2 == 0 and flags[pos + 1] in FLAWED_64.block_types:
+                hits += classify(flags[pos : pos + 2] + rng.randbytes(62)) is not None
+            pos = flags.find(0, pos + 1)
         p_direct = hits / samples
         assert estimate.hits > 0 and hits > 0
         # binomial two-sample z-test, generous 4-sigma gate

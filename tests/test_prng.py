@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from bootforge.prng import ByteStream
+from bootforge.prng import ByteStream, stream_blocks
 
 SEED = b"prng-test-seed"
 
@@ -19,6 +19,13 @@ def test_block_zero_is_sha256_of_seed_and_counter():
     assert ByteStream(SEED).take(32) == expected
     block1 = hashlib.sha256(SEED + (1).to_bytes(8, "big")).digest()
     assert ByteStream(SEED).take(40) == expected + block1[:8]
+
+
+def test_blocks_are_reachable_out_of_order():
+    in_order = ByteStream(SEED).take(9 * 32)
+    assert stream_blocks(SEED, 5, 9) == in_order[5 * 32 :]
+    assert stream_blocks(SEED, 0, 1) + stream_blocks(SEED, 1, 5) == in_order[: 5 * 32]
+    assert stream_blocks(SEED, 3, 3) == b""
 
 
 def test_zero_take_leaves_the_stream_in_place():
