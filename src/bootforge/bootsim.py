@@ -52,14 +52,12 @@ from .prng import BLOCK_SIZE, derive_seed, stream_blocks
 from .sigparser import ParseOutcome, ParserConfig, StackModel, Verdict
 
 __all__ = [
-    "RegionKind",
     "Region",
     "MEMORY_REGIONS",
     "BlacklistPolicy",
     "BootSource",
     "BootOutcome",
     "BootInputs",
-    "LockRegister",
     "NdmaRequest",
     "Event",
     "BootReport",
@@ -131,35 +129,18 @@ _BLOB_FIELDS = {
 }
 
 
-class RegionKind(Enum):
-    FCRAM = "fcram"
-    IO_REGISTERS = "io"
-    ARM9_MEM = "arm9mem"
-    DTCM = "dtcm"
-    ITCM = "itcm"
-    BOOT9_DATA = "boot9data"
-    AXI_WRAM = "axiwram"
-    BOOT_ROM9 = "bootrom9"
-    BOOT_ROM11 = "bootrom11"
-    ARM11_WRAM = "arm11wram"
-
-
 @dataclass(frozen=True)
 class Region:
     rid: int
     base: int
     size: int
-    kind: RegionKind
     store: str
     store_offset: int = 0
-    writable: bool = True
+    rom: int = 0  # the processor whose boot ROM backs the row; 0 for RAM and I/O
 
     @property
     def end(self) -> int:
         return self.base + self.size
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
 
     def overlaps(self, addr: int, size: int) -> bool:
         return addr < self.end and addr + size > self.base
@@ -168,29 +149,29 @@ class Region:
 # The eight documented ARM9 rows (ids 0-7) plus the simulator-defined
 # ROM and work-RAM rows.  Row 6 shares the boot-ROM span and backing.
 MEMORY_REGIONS: tuple[Region, ...] = (
-    Region(0, 0x20000000, 0x08000000, RegionKind.FCRAM, "fcram"),
-    Region(1, 0x10000000, 0x10000000, RegionKind.IO_REGISTERS, "io"),
-    Region(2, 0x08000000, 0x00100000, RegionKind.ARM9_MEM, "arm9"),
-    Region(3, 0x08000000, 0x00000400, RegionKind.ARM9_MEM, "arm9"),
-    Region(4, 0xFFF00000, 0x00004000, RegionKind.DTCM, "dtcm"),
-    Region(5, 0x07FF8000, 0x00008000, RegionKind.ITCM, "itcm"),
-    Region(6, 0xFFFF0000, 0x00010000, RegionKind.BOOT9_DATA, "boot9rom", writable=False),
-    Region(7, 0x1FFFE000, 0x00000800, RegionKind.AXI_WRAM, "arm11wram", store_offset=0x7E000),
-    Region(8, BOOT9_ROM_BASE, ROM_SIZE, RegionKind.BOOT_ROM9, "boot9rom", writable=False),
-    Region(9, BOOT11_ROM_BASE, ROM_SIZE, RegionKind.BOOT_ROM11, "boot11rom", writable=False),
-    Region(10, ARM11_WRAM_BASE, ARM11_WRAM_SIZE, RegionKind.ARM11_WRAM, "arm11wram"),
+    Region(0, 0x20000000, 0x08000000, "fcram"),
+    Region(1, 0x10000000, 0x10000000, "io"),
+    Region(2, 0x08000000, 0x00100000, "arm9"),
+    Region(3, 0x08000000, 0x00000400, "arm9"),
+    Region(4, 0xFFF00000, 0x00004000, "dtcm"),
+    Region(5, 0x07FF8000, 0x00008000, "itcm"),
+    Region(6, 0xFFFF0000, 0x00010000, "boot9rom", rom=9),
+    Region(7, 0x1FFFE000, 0x00000800, "arm11wram", store_offset=0x7E000),
+    Region(8, BOOT9_ROM_BASE, ROM_SIZE, "boot9rom", rom=9),
+    Region(9, BOOT11_ROM_BASE, ROM_SIZE, "boot11rom", rom=11),
+    Region(10, ARM11_WRAM_BASE, ARM11_WRAM_SIZE, "arm11wram"),
 )
 
 # Address resolution priority: specific rows shadow the wide I/O and
 # FCRAM rows; the ROM row shadows its blacklist alias.
 _DISPATCH_ORDER = (3, 2, 5, 4, 8, 9, 7, 10, 6, 1, 0)
 _DISPATCH: tuple[Region, ...] = tuple(MEMORY_REGIONS[rid] for rid in _DISPATCH_ORDER)
-_NDMA_WINDOW = Region(-1, NDMA_WINDOW_BASE, NDMA_WINDOW_SIZE, RegionKind.IO_REGISTERS, "io")
+_NDMA_WINDOW = Region(-1, NDMA_WINDOW_BASE, NDMA_WINDOW_SIZE, "io")
 
 
 def _resolve(addr: int) -> Optional[Region]:
     for region in _DISPATCH:
-        if region.contains(addr):
+        if region.base <= addr < region.end:
             return region
     return None
 
@@ -202,7 +183,6 @@ class BlacklistPolicy(Enum):
 
 class BootSource(Enum):
     NAND = "nand"
-    WIFI_SPI = "wifispi"
     NTR_CART = "ntrcart"
 
 
@@ -219,22 +199,6 @@ class BootInputs:
     shell_closed: bool = False
     ntr_cart_present: bool = False
     magnet_applied: bool = False
-
-
-@dataclass
-class LockRegister:
-    boot9_locked: bool = False
-    boot11_locked: bool = False
-    fcram9_enabled: bool = False
-    fcram11_enabled: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "boot9_locked": self.boot9_locked,
-            "boot11_locked": self.boot11_locked,
-            "fcram9_enabled": self.fcram9_enabled,
-            "fcram11_enabled": self.fcram11_enabled,
-        }
 
 
 @dataclass(frozen=True)
@@ -268,14 +232,9 @@ class Event:
         )
 
 
-def select_boot_source(
-    inputs: BootInputs, override: Optional[BootSource] = None
-) -> BootSource:
+def select_boot_source(inputs: BootInputs) -> BootSource:
     """NTR cartridge iff shell closed (or faked by magnet), the boot key
-    combination is held, and a cartridge is present; NAND otherwise.
-    The SPI-flash source is reachable only through an explicit override."""
-    if override is not None:
-        return override
+    combination is held, and a cartridge is present; NAND otherwise."""
     shell_ok = inputs.shell_closed or inputs.magnet_applied
     if shell_ok and NTR_BOOT_COMBO <= inputs.keys_held and inputs.ntr_cart_present:
         return BootSource.NTR_CART
@@ -306,7 +265,7 @@ def check_blacklist(dst: int, size: int, policy: BlacklistPolicy) -> bool:
             next_base = min((r.base for r in _DISPATCH if r.base > addr), default=end)
             addr = min(end, next_base)
             continue
-        if region.kind is RegionKind.IO_REGISTERS:
+        if region.store == "io":
             return False
         addr = min(end, region.end)
     return True
@@ -433,9 +392,11 @@ class Machine:
     derived from the construction seed.  Each ROM derives a 4 KiB page
     the first time a read touches it and keeps it for the machine's
     life, so a boot that never reads a ROM never pays for one.
-    Non-volatile stores (NAND, the cartridge slot, SPI flash, the SD
-    card) and the ROMs persist across boots; everything else is rebuilt
-    by each boot.
+    Non-volatile stores (NAND, the cartridge slot, the SD card) and the
+    ROMs persist across boots; everything else, the ROM locks included,
+    is rebuilt by each boot.  The boot source is what the held inputs
+    select (`select_boot_source`), and the verifying keys come from
+    `registry`.
     """
 
     def __init__(
@@ -444,16 +405,12 @@ class Machine:
         registry: KeyRegistry,
         console: Console = Console.RETAIL,
         policy: BlacklistPolicy = BlacklistPolicy.BOOT9_DATA_ONLY,
-        parser: Optional[ParserConfig] = None,
-        force_boot_source: Optional[BootSource] = None,
         workdir: Optional[Path] = None,
     ):
         self.seed = derive_seed(seed, "machine")
         self.registry = registry
         self.console = console
         self.policy = policy
-        self.parser = parser
-        self.force_boot_source = force_boot_source
         self.workdir = Path(workdir) if workdir else None
 
         self._roms = {
@@ -464,7 +421,6 @@ class Machine:
         self.inputs = BootInputs()
         self.nand_store: bytes = b""
         self.cart_store: bytes = b""
-        self.wifi_store: bytes = b""
         self.sd_store: dict[str, bytes] = {}
 
         self.event_log: list[Event] = []
@@ -483,14 +439,11 @@ class Machine:
             "arm11wram": _PagedStore(),
             **self._roms,
         }
-        self.locks = LockRegister()
+        self.locked: set[int] = set()  # processors whose ROM lock has engaged
         self.aborts: list[tuple[int, bool]] = []
         self.exfiltrated: dict[str, bytes] = {}
         self.sections_loaded: list[int] = []
         self._hook_a_done = False
-
-    def boot9_stack(self, block_length: int) -> StackModel:
-        return StackModel.boot9(block_length, seed=derive_seed(self.seed, "boot9-stack"))
 
     @property
     def boot9_rom(self) -> bytes:
@@ -511,9 +464,6 @@ class Machine:
     def insert_cartridge(self, image_bytes: bytes) -> None:
         self.cart_store = bytes(image_bytes)
 
-    def install_nand(self, image_bytes: bytes) -> None:
-        self.nand_store = bytes(image_bytes)
-
     def sync_workdir(self) -> None:
         if self.workdir is None:
             return
@@ -531,13 +481,6 @@ class Machine:
         self._step += 1
         self.event_log.append(Event(self._step, proc, kind, addr, length))
 
-    def _rom_locked(self, store: str) -> bool:
-        if store == "boot9rom":
-            return self.locks.boot9_locked
-        if store == "boot11rom":
-            return self.locks.boot11_locked
-        return False
-
     def read_phys(self, addr: int, count: int, proc: int = 9) -> bytes:
         """Physical read; locked protected-ROM bytes read as zeros."""
         parts = []
@@ -548,7 +491,7 @@ class Machine:
             chunk = min(count, region.end - addr)
             offset = region.store_offset + (addr - region.base)
             store = self.stores[region.store]
-            if self._rom_locked(region.store) and offset + chunk > PROTECTED_HALF:
+            if region.rom in self.locked and offset + chunk > PROTECTED_HALF:
                 cut = max(0, PROTECTED_HALF - offset)
                 parts += [store.read(offset, cut), bytes(chunk - cut)]
                 self._log(proc, "lock_violation", addr, chunk)
@@ -565,7 +508,7 @@ class Machine:
             if region is None:
                 raise _DataAbort(addr + pos)
             chunk = min(len(data) - pos, region.end - (addr + pos))
-            if not region.writable:
+            if region.rom:
                 self._log(proc, "rom_write_ignored", addr + pos, chunk)
             else:
                 offset = region.store_offset + (addr + pos - region.base)
@@ -578,21 +521,18 @@ class Machine:
     def write_u32(self, addr: int, value: int, proc: int = 9) -> None:
         self.write_phys(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"), proc)
 
-    def _track_exfil(self, src: int, length: int, proc: int, data: bytes) -> Optional[str]:
-        for key, base, rom_locked in (
-            ("boot9_protected", BOOT9_ROM_BASE + PROTECTED_HALF, self.locks.boot9_locked),
-            ("boot11_protected", BOOT11_ROM_BASE + PROTECTED_HALF, self.locks.boot11_locked),
-        ):
-            if rom_locked:
+    def _track_exfil(self, src: int, length: int, data: bytes) -> Optional[str]:
+        for proc, rom_base in ((9, BOOT9_ROM_BASE), (11, BOOT11_ROM_BASE)):
+            if proc in self.locked:
                 continue
-            lo = max(src, base)
-            hi = min(src + length, base + PROTECTED_HALF)
+            lo = max(src, rom_base + PROTECTED_HALF)
+            hi = min(src + length, rom_base + ROM_SIZE)
             if lo < hi:
+                key = f"boot{proc}_protected"
                 captured = data[lo - src : hi - src]
-                previous = self.exfiltrated.get(key, b"")
-                if len(captured) > len(previous):
+                if len(captured) > len(self.exfiltrated.get(key, b"")):
                     self.exfiltrated[key] = captured
-                return "copy_protected9" if key == "boot9_protected" else "copy_protected11"
+                return f"copy_protected{proc}"
         return None
 
     def copy_phys(self, src: int, dst: int, length: int, proc: int = 9) -> None:
@@ -602,7 +542,7 @@ class Machine:
         if src <= 0 < src + length or dst <= 0 < dst + length:
             raise _DataAbort(0)
         data = self.read_phys(src, length, proc)
-        kind = self._track_exfil(src, length, proc, data) or "copy"
+        kind = self._track_exfil(src, length, data) or "copy"
         self.write_phys(dst, data, proc)
         self._log(proc, kind, dst, length)
 
@@ -610,20 +550,11 @@ class Machine:
 
     def engage_lock(self, proc: int) -> None:
         """Write-once: lock the ROM's protected half and enable FCRAM."""
-        if proc == 9:
-            if self.locks.boot9_locked:
-                self._log(9, "lock_write_ignored")
-                return
-            self.locks.boot9_locked = True
-            self.locks.fcram9_enabled = True
-            self._log(9, "lock_boot9")
-        else:
-            if self.locks.boot11_locked:
-                self._log(11, "lock_write_ignored")
-                return
-            self.locks.boot11_locked = True
-            self.locks.fcram11_enabled = True
-            self._log(11, "lock_boot11")
+        if proc in self.locked:
+            self._log(proc, "lock_write_ignored")
+            return
+        self.locked.add(proc)
+        self._log(proc, f"lock_boot{proc}")
 
     # -- section loading and the DMA window ---------------------------------
 
@@ -691,23 +622,6 @@ class Machine:
         self.write_u32(BOOT9_FPTR_B, hook_b, proc)
         self._log(proc, "hook_install", BOOT9_FPTR_A, 8)
         self._log(proc, "abort_handled_skip_copy", fault_addr)
-
-    # -- the boot sequence ----------------------------------------------------
-
-    def _source_bytes(self, source: BootSource) -> bytes:
-        return {
-            BootSource.NAND: self.nand_store,
-            BootSource.NTR_CART: self.cart_store,
-            BootSource.WIFI_SPI: self.wifi_store,
-        }[source]
-
-    def _stage_to_source(self, source: BootSource, image_bytes: bytes) -> None:
-        if source is BootSource.NAND:
-            self.nand_store = bytes(image_bytes)
-        elif source is BootSource.NTR_CART:
-            self.cart_store = bytes(image_bytes)
-        else:
-            self.wifi_store = bytes(image_bytes)
 
     # -- the processors' scripts ----------------------------------------------
     #
@@ -830,7 +744,7 @@ class Machine:
         yield
         self.engage_lock(9)
         yield
-        yield from self._wait(lambda: self.locks.boot11_locked)
+        yield from self._wait(lambda: 11 in self.locked)
         self._log(9, "entry", second.arm9_entry)
         yield
 
@@ -881,17 +795,17 @@ class Machine:
             except StopIteration:
                 scripts[cpu] = None
 
-    def _execute_boot(self, registry: KeyRegistry, parser: ParserConfig) -> BootReport:
+    def _execute_boot(self, parser: ParserConfig) -> BootReport:
         first_event = len(self.event_log)
         verdict: Optional[ParseOutcome] = None
         outcome = BootOutcome.FAILURE
-        source = select_boot_source(self.inputs, self.force_boot_source)
+        source = select_boot_source(self.inputs)
 
         try:
             self._log(9, "init_keyslots")
             self._log(9, "init_rsa_slots")
             self._log(9, f"boot_source_{source.value}")
-            raw = self._source_bytes(source)
+            raw = self.cart_store if source is BootSource.NTR_CART else self.nand_store
             if len(raw) < firmmod.HEADER_LENGTH:
                 self._log(9, "header_read_failed", 0, len(raw))
                 raise _BootFailure("no bootable image on the selected source")
@@ -907,11 +821,12 @@ class Machine:
                 if source is BootSource.NAND
                 else SignatureType.NON_NAND_BOOT
             )
-            pub = registry.get(self.console, sig_type)
-            block_length = registry.block_length(self.console, sig_type)
-            validation = firmmod.validate_firm(
-                image, pub, parser, stack=self.boot9_stack(block_length)
+            pub = self.registry.get(self.console, sig_type)
+            stack = StackModel.boot9(
+                self.registry.block_length(self.console, sig_type),
+                seed=derive_seed(self.seed, "boot9-stack"),
             )
+            validation = firmmod.validate_firm(image, pub, parser, stack)
             verdict = validation.signature_outcome
             self._log(9, "sig_verdict", length=0)
             if verdict.verdict is Verdict.OUT_OF_BOUNDS:
@@ -956,7 +871,11 @@ class Machine:
             # Only stage 2, entered past ARM9's jump, powers off.
             reached_entry=outcome in (BootOutcome.REACHED_ENTRY, BootOutcome.SHUTDOWN),
             outcome=outcome,
-            locks_final=self.locks.as_dict(),
+            locks_final={
+                f"{name}{proc}_{state}": proc in self.locked
+                for name, state in (("boot", "locked"), ("fcram", "enabled"))
+                for proc in (9, 11)
+            },
             events=self.event_log[first_event:],
         )
         self.sync_workdir()
@@ -984,27 +903,25 @@ def load_section(machine: Machine, section: SectionHeader, payload: bytes) -> li
 def run_boot(
     machine: Machine,
     image_bytes: Optional[bytes] = None,
-    registry: Optional[KeyRegistry] = None,
     parser: Optional[ParserConfig] = None,
-    policy: Optional[BlacklistPolicy] = None,
 ) -> BootReport:
     """One full boot: source selection, verification, loads, locks, entry.
 
     When `image_bytes` is given it is staged onto whichever source the
     held inputs select; otherwise the boot reads what the machine's
-    stores already hold.
+    stores already hold.  The parser defaults to the flawed boot-ROM walk
+    at the block length of the machine's NAND key.
     """
     machine._reset_volatile()
-    registry = registry or machine.registry
-    parser = parser or machine.parser or ParserConfig.flawed(
-        registry.block_length(machine.console, SignatureType.NAND_BOOT)
+    parser = parser or ParserConfig.flawed(
+        machine.registry.block_length(machine.console, SignatureType.NAND_BOOT)
     )
-    if policy is not None:
-        machine.policy = policy
-    source = select_boot_source(machine.inputs, machine.force_boot_source)
     if image_bytes is not None:
-        machine._stage_to_source(source, image_bytes)
-    return machine._execute_boot(registry, parser)
+        if select_boot_source(machine.inputs) is BootSource.NTR_CART:
+            machine.cart_store = bytes(image_bytes)
+        else:
+            machine.nand_store = bytes(image_bytes)
+    return machine._execute_boot(parser)
 
 
 def _image_bytes(image: FirmImage | bytes) -> bytes:

@@ -97,7 +97,7 @@ def _private_key(key_dir: Path, slot: str) -> modmath.RsaKeyPair:
     return key
 
 
-def _parse_window(spec: Optional[str], block_length: int):
+def _parse_window(spec: Optional[str]):
     if spec is None:
         return None
     lo, _, hi = spec.partition(":")
@@ -113,8 +113,7 @@ def _parser_config(args, config: WorkspaceConfig, block_length: int) -> ParserCo
         return ParserConfig.strict()
     if mode != "flawed":
         raise UsageError("--mode must be flawed or strict")
-    window = _parse_window(getattr(args, "window", None), block_length)
-    return ParserConfig.flawed(block_length, window=window)
+    return ParserConfig.flawed(block_length, window=_parse_window(getattr(args, "window", None)))
 
 
 def _policy(args, config: WorkspaceConfig) -> BlacklistPolicy:
@@ -176,8 +175,9 @@ def _cmd_forge(args, config: WorkspaceConfig) -> int:
     registry = _load_registry(key_dir)
     console, sig_type = modmath.parse_slot_label(args.slot)
     pub = registry.get(console, sig_type)
-    block_length = registry.block_length(console, sig_type)
-    parser = _parser_config(args, config, block_length)
+    parser = ParserConfig.flawed(
+        registry.block_length(console, sig_type), window=_parse_window(args.window)
+    )
     try:
         result = forge.brute_force_search(
             pub, parser, args.workers, seed, args.max_attempts, progress=sys.stdout
@@ -213,8 +213,7 @@ def _cmd_estimate(args, config: WorkspaceConfig) -> int:
     elif args.full_structure:
         parser = ParserConfig.full_structure(block_length)
     else:
-        window = _parse_window(args.window, block_length)
-        parser = ParserConfig.flawed(block_length, window=window)
+        parser = ParserConfig.flawed(block_length, window=_parse_window(args.window))
     estimate = forge.estimate_hit_probability(block_length, parser, args.samples, seed)
     print(json.dumps(estimate.to_json_dict(), indent=2))
     return 0
@@ -255,7 +254,7 @@ def _cmd_verify(args, config: WorkspaceConfig) -> int:
         registry = _load_registry(_key_dir(args, config))
         console, sig_type = modmath.parse_slot_label(args.slot)
         pub = registry.get(console, sig_type)
-    block_length = (pub[0].bit_length() + 7) // 8
+    block_length = modmath.block_length_of(pub[0])
     parser = _parser_config(args, config, block_length)
     stack = (
         StackModel.factory_firmware(block_length)
@@ -287,9 +286,7 @@ def _cmd_boot(args, config: WorkspaceConfig) -> int:
         machine.insert_cartridge(Path(args.cart_image).read_bytes())
     block_length = registry.block_length(machine.console, SignatureType.NAND_BOOT)
     parser = _parser_config(args, config, block_length)
-    report = bootsim.run_boot(
-        machine, Path(args.image).read_bytes(), registry, parser, _policy(args, config)
-    )
+    report = bootsim.run_boot(machine, Path(args.image).read_bytes(), parser)
     _emit_report(report, _workdir(args), "boot-report")
     return 0 if report.reached_entry else 1
 
@@ -375,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate six keypairs and the public registry")
     common(p, keyed=True)
-    p.add_argument("--bits", type=int, default=512)
+    p.add_argument("--bits", type=int, help="default: 8 x the config's block_length, else 512")
     p.add_argument("--e3", action="store_true", help="use public exponent 3")
     p.set_defaults(func=_cmd_keygen)
 
@@ -392,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-attempts", type=int, default=50_000_000)
     p.add_argument("--window", help="landing window LO:HI")
-    p.add_argument("--mode", choices=["flawed", "strict"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_forge)
 

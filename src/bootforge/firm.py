@@ -28,7 +28,9 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .modmath import RsaKeyPair, from_fixed_bytes, raw_sign, raw_verify, to_fixed_bytes
+from .modmath import (
+    RsaKeyPair, block_length_of, from_fixed_bytes, raw_sign, raw_verify, to_fixed_bytes,
+)
 from .sigparser import (
     HASH_LENGTH,
     ParseOutcome,
@@ -300,7 +302,7 @@ def validate_firm(
     exponentiation, as the RSA hardware would.
     """
     n, _ = pub
-    block_length = (n.bit_length() + 7) // 8
+    block_length = block_length_of(n)
     if block_length > SIGNATURE_FIELD_LENGTH:
         raise ValueError("key block exceeds the 0x100-byte signature field")
     calc_hash = header_digest(image)

@@ -35,13 +35,15 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, TextIO
 
 import numpy as np
 
-from .modmath import RsaKeyPair, from_fixed_bytes, mod_exp, raw_sign, raw_verify, to_fixed_bytes
+from .modmath import (
+    RsaKeyPair, block_length_of, from_fixed_bytes, mod_exp, raw_sign, raw_verify, to_fixed_bytes,
+)
 from .prng import ByteStream, derive_seed
 from .sigparser import ParserConfig, ParserMode, exact_hit_probability, make_classifier
 
@@ -303,7 +305,7 @@ def brute_force_search(
         raise ValueError("worker_count must be at least 1")
     if n.bit_length() < 16:
         raise ValueError("modulus too small to search against")
-    block_length = (n.bit_length() + 7) // 8
+    block_length = block_length_of(n)
     seed = seed if isinstance(seed, bytes) else bytes.fromhex(seed)
 
     if worker_count == 1:
@@ -354,16 +356,8 @@ def brute_force_search(
             if proc.exitcode != 0:
                 raise SearchWorkerError(idx, proc.exitcode)
         return None
-    total_attempts = sum(c.value for c in counters)
-    return ForgeResult(
-        signature=winner.signature,
-        plaintext=winner.plaintext,
-        landing_offset=winner.landing_offset,
-        attempts=total_attempts,
-        elapsed=time.perf_counter() - started,
-        negated=winner.negated,
-        root=winner.root,
-        iterations=winner.iterations,
+    return replace(
+        winner, attempts=sum(c.value for c in counters), elapsed=time.perf_counter() - started
     )
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "raw_verify",
     "to_fixed_bytes",
     "from_fixed_bytes",
+    "block_length_of",
     "RsaKeyPair",
     "Console",
     "SignatureType",
@@ -65,16 +66,24 @@ def from_fixed_bytes(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
+def block_length_of(n: int) -> int:
+    """Bytes in a signature block for modulus n: the byte length of n."""
+    return (n.bit_length() + 7) // 8
+
+
 @dataclass(frozen=True)
 class RsaKeyPair:
     n: int
     e: int
     d: int
-    bit_length: int
+
+    @property
+    def bit_length(self) -> int:
+        return self.n.bit_length()
 
     @property
     def block_length(self) -> int:
-        return self.bit_length // 8
+        return block_length_of(self.n)
 
     @property
     def public(self) -> tuple[int, int]:
@@ -152,7 +161,7 @@ def generate_keypair(bit_length: int, seed: bytes | str, exponent: int = 65537) 
         lam = math.lcm(p - 1, q - 1)
         d = pow(exponent, -1, lam)
         assert n.bit_length() == bit_length
-        return RsaKeyPair(n=n, e=exponent, d=d, bit_length=bit_length)
+        return RsaKeyPair(n=n, e=exponent, d=d)
     raise RuntimeError("prime search exhausted after sub-seed retries")
 
 
@@ -230,8 +239,7 @@ class KeyRegistry:
         return len(self._slots) == len(REGISTRY_SLOTS)
 
     def block_length(self, console: Console, sig_type: SignatureType) -> int:
-        n, _ = self.get(console, sig_type)
-        return (n.bit_length() + 7) // 8
+        return block_length_of(self.get(console, sig_type)[0])
 
 
 # --- key and registry files -------------------------------------------------
@@ -254,7 +262,6 @@ def write_key_file(path: str | Path, key: RsaKeyPair, private: bool = True) -> N
 
 def read_key_file(path: str | Path) -> RsaKeyPair:
     fields: dict[str, str] = {}
-    n_width = 0
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -263,15 +270,12 @@ def read_key_file(path: str | Path) -> RsaKeyPair:
             raise ValueError(f"malformed key file line: {line!r}")
         name, value = line.split("=", 1)
         fields[name] = value
-        if name == "n":
-            n_width = len(value)
     if "n" not in fields or "e" not in fields:
         raise ValueError("key file must contain n= and e=")
     n = int(fields["n"], 16)
     e = int(fields["e"], 16)
     d = int(fields["d"], 16) if "d" in fields else 0
-    bit_length = n_width // 2 * 8
-    return RsaKeyPair(n=n, e=e, d=d, bit_length=bit_length)
+    return RsaKeyPair(n=n, e=e, d=d)
 
 
 def write_registry(path: str | Path, registry: KeyRegistry) -> None:
@@ -280,8 +284,7 @@ def write_registry(path: str | Path, registry: KeyRegistry) -> None:
     lines = []
     for console, sig_type in REGISTRY_SLOTS:
         n, e = registry.get(console, sig_type)
-        block = (n.bit_length() + 7) // 8
-        lines.append(f"{slot_label(console, sig_type)}={n:0{2 * block}x}:{e:x}")
+        lines.append(f"{slot_label(console, sig_type)}={n:0{2 * block_length_of(n)}x}:{e:x}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

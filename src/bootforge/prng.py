@@ -93,7 +93,3 @@ class ByteStream:
             value = self.take_int(bits)
             if value < bound:
                 return value
-
-    def derive(self, *labels: str | int) -> "ByteStream":
-        """Fresh stream for an independent consumer."""
-        return ByteStream(derive_seed(self._seed, *labels))

@@ -134,9 +134,8 @@ class TestBootSourceSelection:
         inputs = BootInputs(keys_held=NTR_BOOT_COMBO, shell_closed=True)
         assert select_boot_source(inputs) is BootSource.NAND
 
-    def test_spi_flash_needs_an_override(self):
+    def test_no_inputs_means_nand(self):
         assert select_boot_source(BootInputs()) is BootSource.NAND
-        assert select_boot_source(BootInputs(), BootSource.WIFI_SPI) is BootSource.WIFI_SPI
 
 
 class TestBlacklist:
@@ -188,9 +187,10 @@ class TestPhysicalMemory:
 
     def test_lock_is_write_once(self, machine):
         machine.engage_lock(9)
-        assert machine.locks.boot9_locked and machine.locks.fcram9_enabled
+        assert machine.locked == {9}
+        assert machine.event_log[-1].kind == "lock_boot9"
         machine.engage_lock(9)
-        assert machine.locks.boot9_locked
+        assert machine.locked == {9}
         assert machine.event_log[-1].kind == "lock_write_ignored"
 
     def test_axi_wram_alias_rows_share_backing(self, machine):
@@ -558,7 +558,8 @@ def test_memory_region_table_matches_documented_rows():
     }
     for rid, (base, size) in expected.items():
         assert (rows[rid].base, rows[rid].size) == (base, size)
-    kinds = {r.kind for r in bootsim.MEMORY_REGIONS}
-    assert bootsim.RegionKind.BOOT_ROM9 in kinds
-    assert bootsim.RegionKind.BOOT_ROM11 in kinds
-    assert bootsim.RegionKind.ARM11_WRAM in kinds
+    # The simulator's own rows: the two boot ROMs and ARM11 work RAM.
+    assert [rows[rid].base for rid in (8, 9, 10)] == [
+        BOOT9_ROM_BASE, BOOT11_ROM_BASE, bootsim.ARM11_WRAM_BASE
+    ]
+    assert [rows[rid].rom for rid in (8, 9)] == [9, 11]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bootforge import forge
+from bootforge import forge, modmath
 from bootforge.cli import main
 from bootforge.prng import ByteStream, derive_seed
 
@@ -44,6 +44,13 @@ class TestKeygen:
         for d in ("a", "b"):
             assert main(["keygen", "--bits", "512", "--seed", SEED, "--key-dir", d]) == 0
         assert read_tree(workspace / "a") == read_tree(workspace / "b")
+
+    def test_config_block_length_sets_the_key_size(self, workspace):
+        config = workspace / "config.json"
+        config.write_text(json.dumps({"block_length": 32}))
+        assert main(["--config", str(config), "keygen", "--seed", SEED, "--key-dir", "k"]) == 0
+        key = modmath.read_key_file(workspace / "k" / "retail.nand.key")
+        assert key.bit_length == 256
 
     def test_seed_required(self, workspace):
         assert main(["keygen", "--key-dir", "nokeys"]) == 2

@@ -114,7 +114,7 @@ class TestPrivateKeyOracle:
         assert from_fixed_bytes(result.plaintext) < key512.n
 
     def test_requires_private_exponent(self, key512):
-        public_only = type(key512)(n=key512.n, e=key512.e, d=0, bit_length=512)
+        public_only = type(key512)(n=key512.n, e=key512.e, d=0)
         with pytest.raises(ValueError):
             forge_with_private_key(public_only, 64, b"x")
 

@@ -74,6 +74,17 @@ def test_keypair_shape(key512):
     assert key512.block_length == 64
 
 
+def test_padded_key_file_has_the_registry_block_length(tmp_path, key512):
+    # One extra leading zero byte in n= must not widen the block.
+    path = tmp_path / "padded.key"
+    path.write_text(f"n=00{key512.n:0128x}\ne={key512.e:x}\n")
+    key = read_key_file(path)
+    registry = KeyRegistry()
+    registry.assign(Console.RETAIL, SignatureType.NAND_BOOT, key.public)
+    assert key.n == key512.n and key.bit_length == 512
+    assert key.block_length == registry.block_length(Console.RETAIL, SignatureType.NAND_BOOT) == 64
+
+
 def test_keypair_exponent_three():
     key = generate_keypair(256, b"e3 seed", exponent=3)
     assert key.e == 3
