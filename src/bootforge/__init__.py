@@ -20,7 +20,6 @@ from .sigparser import (
     RejectReason,
     StackModel,
     Verdict,
-    classify_plaintext,
     exact_hit_probability,
     flawed_parse,
     strict_parse,

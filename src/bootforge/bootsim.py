@@ -49,7 +49,7 @@ from . import firm as firmmod
 from .firm import CopyMethod, FirmImage, FirmParseError, SectionHeader
 from .modmath import Console, KeyRegistry, SignatureType
 from .prng import BLOCK_SIZE, derive_seed, stream_blocks
-from .sigparser import ParseOutcome, ParserConfig, StackModel, Verdict
+from .sigparser import ParseOutcome, ParserMode, StackModel, Verdict
 
 __all__ = [
     "Region",
@@ -64,7 +64,6 @@ __all__ = [
     "Machine",
     "select_boot_source",
     "check_blacklist",
-    "load_section",
     "run_boot",
     "run_exploit_chain",
     "run_ntr_install_scenario",
@@ -795,7 +794,7 @@ class Machine:
             except StopIteration:
                 scripts[cpu] = None
 
-    def _execute_boot(self, parser: ParserConfig) -> BootReport:
+    def _execute_boot(self, mode: ParserMode) -> BootReport:
         first_event = len(self.event_log)
         verdict: Optional[ParseOutcome] = None
         outcome = BootOutcome.FAILURE
@@ -826,7 +825,7 @@ class Machine:
                 self.registry.block_length(self.console, sig_type),
                 seed=derive_seed(self.seed, "boot9-stack"),
             )
-            validation = firmmod.validate_firm(image, pub, parser, stack)
+            validation = firmmod.validate_firm(image, pub, mode, stack)
             verdict = validation.signature_outcome
             self._log(9, "sig_verdict", length=0)
             if verdict.verdict is Verdict.OUT_OF_BOUNDS:
@@ -885,43 +884,25 @@ class Machine:
 # --- module-level operations ------------------------------------------
 
 
-def load_section(machine: Machine, section: SectionHeader, payload: bytes) -> list[Event]:
-    """Load one section outside a boot; returns the events it produced."""
-    start = len(machine.event_log)
-    try:
-        machine.load_section(section, payload)
-    except _DataAbort as abort:
-        try:
-            machine._dispatch_abort(abort.addr, 9)
-        except _BootHalt:
-            pass
-    except _BootFailure:
-        pass
-    return machine.event_log[start:]
-
-
 def run_boot(
     machine: Machine,
     image_bytes: Optional[bytes] = None,
-    parser: Optional[ParserConfig] = None,
+    mode: ParserMode = ParserMode.FLAWED,
 ) -> BootReport:
     """One full boot: source selection, verification, loads, locks, entry.
 
     When `image_bytes` is given it is staged onto whichever source the
     held inputs select; otherwise the boot reads what the machine's
-    stores already hold.  The parser defaults to the flawed boot-ROM walk
-    at the block length of the machine's NAND key.
+    stores already hold.  `mode` picks the signature parser: the boot
+    ROM's flawed walk by default, `ParserMode.STRICT` for the fixed one.
     """
     machine._reset_volatile()
-    parser = parser or ParserConfig.flawed(
-        machine.registry.block_length(machine.console, SignatureType.NAND_BOOT)
-    )
     if image_bytes is not None:
         if select_boot_source(machine.inputs) is BootSource.NTR_CART:
             machine.cart_store = bytes(image_bytes)
         else:
             machine.nand_store = bytes(image_bytes)
-    return machine._execute_boot(parser)
+    return machine._execute_boot(mode)
 
 
 def _image_bytes(image: FirmImage | bytes) -> bytes:

@@ -22,12 +22,7 @@ from . import bootsim, firm, forge, modmath, sigparser
 from .bootsim import BlacklistPolicy, BootInputs, BootOutcome, Machine
 from .modmath import Console, KeyRegistry, SignatureType, REGISTRY_SLOTS
 from .prng import derive_seed
-from .sigparser import ParserConfig, StackModel
-
-_POLICIES = {
-    "boot9only": BlacklistPolicy.BOOT9_DATA_ONLY,
-    "hardened": BlacklistPolicy.HARDENED,
-}
+from .sigparser import ParserConfig, ParserMode, StackModel
 
 
 class UsageError(Exception):
@@ -107,20 +102,16 @@ def _parse_window(spec: Optional[str]):
         raise UsageError("--window expects LO:HI") from None
 
 
-def _parser_config(args, config: WorkspaceConfig, block_length: int) -> ParserConfig:
-    mode = getattr(args, "mode", None) or config.parser_mode
-    if mode == "strict":
-        return ParserConfig.strict()
-    if mode != "flawed":
-        raise UsageError("--mode must be flawed or strict")
-    return ParserConfig.flawed(block_length, window=_parse_window(getattr(args, "window", None)))
+def _values(enum) -> list[str]:
+    return [member.value for member in enum]
+
+
+def _parser_mode(args, config: WorkspaceConfig) -> ParserMode:
+    return ParserMode(args.mode or config.parser_mode)
 
 
 def _policy(args, config: WorkspaceConfig) -> BlacklistPolicy:
-    name = getattr(args, "policy", None) or config.blacklist_policy
-    if name not in _POLICIES:
-        raise UsageError("--policy must be boot9only or hardened")
-    return _POLICIES[name]
+    return BlacklistPolicy(args.policy or config.blacklist_policy)
 
 
 def _machine(args, config: WorkspaceConfig, seed: bytes, registry: KeyRegistry) -> Machine:
@@ -208,9 +199,7 @@ def _cmd_forge_oracle(args, config: WorkspaceConfig) -> int:
 def _cmd_estimate(args, config: WorkspaceConfig) -> int:
     seed = _require_seed(args, config)
     block_length = args.block_length or config.block_length or 0x100
-    if args.prefix_only:
-        parser = ParserConfig(block_types=frozenset({0x02}), require_walk=False)
-    elif args.full_structure:
+    if args.full_structure:
         parser = ParserConfig.full_structure(block_length)
     else:
         parser = ParserConfig.flawed(block_length, window=_parse_window(args.window))
@@ -255,14 +244,13 @@ def _cmd_verify(args, config: WorkspaceConfig) -> int:
         console, sig_type = modmath.parse_slot_label(args.slot)
         pub = registry.get(console, sig_type)
     block_length = modmath.block_length_of(pub[0])
-    parser = _parser_config(args, config, block_length)
     stack = (
         StackModel.factory_firmware(block_length)
         if args.stack == "factory"
         else StackModel.boot9(block_length)
     )
     image = firm.parse(Path(args.image).read_bytes())
-    validation = firm.validate_firm(image, pub, parser, stack)
+    validation = firm.validate_firm(image, pub, _parser_mode(args, config), stack)
     print(json.dumps(validation.to_json_dict(), indent=2))
     return 0 if validation.accepted else 1
 
@@ -284,9 +272,9 @@ def _cmd_boot(args, config: WorkspaceConfig) -> int:
     machine.inputs = _boot_inputs(args)
     if args.cart_image:
         machine.insert_cartridge(Path(args.cart_image).read_bytes())
-    block_length = registry.block_length(machine.console, SignatureType.NAND_BOOT)
-    parser = _parser_config(args, config, block_length)
-    report = bootsim.run_boot(machine, Path(args.image).read_bytes(), parser)
+    report = bootsim.run_boot(
+        machine, Path(args.image).read_bytes(), _parser_mode(args, config)
+    )
     _emit_report(report, _workdir(args), "boot-report")
     return 0 if report.reached_entry else 1
 
@@ -405,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--window", help="landing window LO:HI")
     p.add_argument("--full-structure", action="store_true")
-    p.add_argument("--prefix-only", action="store_true")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("build-firm", help="build an image from a JSON descriptor")
@@ -431,24 +418,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a parser over an image signature")
     common(p, seeded=False, keyed=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--mode", choices=["flawed", "strict"], default="flawed")
+    p.add_argument("--mode", choices=_values(ParserMode))
     p.add_argument("--key", help="explicit key file (else --slot from the registry)")
     p.add_argument("--slot", default="retail.nand")
     p.add_argument("--stack", choices=["boot9", "factory"], default="boot9")
-    p.add_argument("--window", help="landing window LO:HI")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("boot", help="simulate one boot of an image")
     common(p, keyed=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--mode", choices=["flawed", "strict"])
-    p.add_argument("--policy", choices=sorted(_POLICIES))
+    p.add_argument("--mode", choices=_values(ParserMode))
+    p.add_argument("--policy", choices=_values(BlacklistPolicy))
     p.add_argument("--console", choices=["retail", "dev"], default="retail")
     p.add_argument("--keys", help="comma-separated held keys")
     p.add_argument("--shell-closed", action="store_true")
     p.add_argument("--magnet", action="store_true")
     p.add_argument("--cart-image", help="image present in the cartridge slot")
-    p.add_argument("--window", help="landing window LO:HI")
     p.set_defaults(func=_cmd_boot)
 
     p = sub.add_parser("exploit", help="run the staged exploit chain")
@@ -457,13 +442,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig", help="hex signature file (else the private-key oracle)")
     p.add_argument("--dump-keys", action="store_true")
     p.add_argument("--second-image", help="image chain-loaded from SD without --dump-keys")
-    p.add_argument("--policy", choices=sorted(_POLICIES))
+    p.add_argument("--policy", choices=_values(BlacklistPolicy))
     p.add_argument("--console", choices=["retail", "dev"], default="retail")
     p.set_defaults(func=_cmd_exploit)
 
     p = sub.add_parser("ntr-install", help="cartridge-boot installer plus NAND re-boot")
     common(p, keyed=True)
-    p.add_argument("--policy", choices=sorted(_POLICIES))
+    p.add_argument("--policy", choices=_values(BlacklistPolicy))
     p.add_argument("--console", choices=["retail", "dev"], default="retail")
     p.set_defaults(func=_cmd_ntr_install)
 

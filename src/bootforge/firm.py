@@ -34,7 +34,6 @@ from .modmath import (
 from .sigparser import (
     HASH_LENGTH,
     ParseOutcome,
-    ParserConfig,
     ParserMode,
     StackModel,
     flawed_parse,
@@ -293,13 +292,15 @@ class FirmValidation:
 def validate_firm(
     image: FirmImage,
     pub: tuple[int, int],
-    parser: ParserConfig,
+    mode: ParserMode = ParserMode.FLAWED,
     stack: Optional[StackModel] = None,
 ) -> FirmValidation:
-    """Header-signature check under the chosen parser, then section hashes.
+    """Header-signature check under the parser `mode` picks, then section hashes.
 
-    The signature integer is reduced modulo n before the verify
-    exponentiation, as the RSA hardware would.
+    `ParserMode.STRICT` runs `strict_parse`; anything else runs the boot
+    ROM's `flawed_parse` against `stack` (default: the boot9 layout at
+    the key's block length).  The signature integer is reduced modulo n
+    before the verify exponentiation, as the RSA hardware would.
     """
     n, _ = pub
     block_length = block_length_of(n)
@@ -308,7 +309,7 @@ def validate_firm(
     calc_hash = header_digest(image)
     sig_int = from_fixed_bytes(image.signature[:block_length]) % n
     block = to_fixed_bytes(raw_verify(sig_int, pub), block_length)
-    if parser.mode is ParserMode.STRICT:
+    if mode is ParserMode.STRICT:
         outcome = strict_parse(block, calc_hash)
     else:
         if stack is None:

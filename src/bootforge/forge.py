@@ -45,7 +45,7 @@ from .modmath import (
     RsaKeyPair, block_length_of, from_fixed_bytes, mod_exp, raw_sign, raw_verify, to_fixed_bytes,
 )
 from .prng import ByteStream, derive_seed
-from .sigparser import ParserConfig, ParserMode, exact_hit_probability, make_classifier
+from .sigparser import ParserConfig, exact_hit_probability, make_classifier
 
 __all__ = [
     "ForgeResult",
@@ -183,7 +183,6 @@ def _run_chain(
     budget: int,
     stop_check=None,
     progress: Optional[TextIO] = None,
-    verify_chain_every: int = 0,
     counter=None,
 ) -> Optional[ForgeResult]:
     """One multiplicative chain; returns a confirmed hit or None."""
@@ -238,9 +237,6 @@ def _run_chain(
                 iterations=z,
             )
 
-        if verify_chain_every and z % verify_chain_every == 0:
-            if y != pow(r, e * z, n):
-                raise RuntimeError("multiplicative chain drifted from r^(e*z)")
         if z & _COUNTER_SYNC_MASK == 0:
             if counter is not None:
                 counter.value = attempts
@@ -287,7 +283,6 @@ def brute_force_search(
     seed: bytes | str,
     max_attempts: int,
     progress: Optional[TextIO] = None,
-    verify_chain_every: int = 0,
 ) -> Optional[ForgeResult]:
     """Search for an exploit signature using only the public key.
 
@@ -299,8 +294,6 @@ def brute_force_search(
     without a result and none found a hit.
     """
     n, e = pub
-    if config.mode is not ParserMode.FLAWED:
-        raise ValueError("the search targets the flawed parser")
     if worker_count < 1:
         raise ValueError("worker_count must be at least 1")
     if n.bit_length() < 16:
@@ -309,10 +302,7 @@ def brute_force_search(
     seed = seed if isinstance(seed, bytes) else bytes.fromhex(seed)
 
     if worker_count == 1:
-        return _run_chain(
-            n, e, block_length, config, seed, 0, max_attempts,
-            progress=progress, verify_chain_every=verify_chain_every,
-        )
+        return _run_chain(n, e, block_length, config, seed, 0, max_attempts, progress=progress)
 
     started = time.perf_counter()
     stop = multiprocessing.Event()

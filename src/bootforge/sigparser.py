@@ -46,7 +46,6 @@ __all__ = [
     "ParserConfig",
     "flawed_parse",
     "strict_parse",
-    "classify_plaintext",
     "make_classifier",
     "exact_hit_probability",
     "pkcs1_digest_block",
@@ -190,23 +189,26 @@ class StackModel:
 
 
 class ParserMode(Enum):
+    """Which walk checks a firmware signature: the boot ROM's or the fixed one."""
+
     FLAWED = "flawed"
     STRICT = "strict"
 
 
 @dataclass(frozen=True)
 class ParserConfig:
-    """Parser selection plus the predicate knobs used by classification.
+    """The hit predicate that search, estimation and classification test.
 
-    `target_window` is the set of landing offsets the classifier counts
-    as hits (ignored by the strict parser).  `block_types`,
-    `require_walk` and `check_type_bytes` shape the classification
-    predicate for search and probability-estimation runs; `flawed_parse`
-    itself always runs the plain walk with types {1, 2} and no type-byte
-    checks.
+    A block is a hit when its flag bytes are ``00`` and one of
+    `block_types` and the flawed walk lands inside `target_window`; with
+    `check_type_bytes` the two 0x30 type bytes and the 0x04 final type
+    byte must also be present.  With `require_walk` false only the flag
+    bytes count.  This is a predicate over plaintext blocks, not a parser
+    choice: `flawed_parse` always runs the plain walk with types {1, 2}
+    and no type-byte checks, and the boot and `validate_firm` pick their
+    parser with a `ParserMode`.
     """
 
-    mode: ParserMode = ParserMode.FLAWED
     target_window: frozenset = frozenset()
     block_types: frozenset = frozenset({0x01, 0x02})
     require_walk: bool = True
@@ -223,14 +225,10 @@ class ParserConfig:
         window: Optional[Iterable[int]] = None,
         check_type_bytes: bool = False,
     ) -> "ParserConfig":
-        """Flawed-mode config; default window is the 128 offsets past the block."""
+        """The flawed walk's predicate; default window is the 128 offsets past the block."""
         if window is None:
             window = range(block_length, block_length + 128)
-        return cls(
-            mode=ParserMode.FLAWED,
-            target_window=frozenset(window),
-            check_type_bytes=check_type_bytes,
-        )
+        return cls(target_window=frozenset(window), check_type_bytes=check_type_bytes)
 
     @classmethod
     def full_structure(cls, block_length: int) -> "ParserConfig":
@@ -243,10 +241,6 @@ class ParserConfig:
         deliberately stricter than `flawed_parse` itself.
         """
         return cls.flawed(block_length, check_type_bytes=True)
-
-    @classmethod
-    def strict(cls) -> "ParserConfig":
-        return cls(mode=ParserMode.STRICT)
 
 
 def _check_flag_bytes(block: bytes, allowed_types: frozenset) -> Optional[ParseOutcome]:
@@ -343,8 +337,6 @@ def make_classifier(config: ParserConfig) -> Callable[[bytes], Optional[int]]:
     a stack whose calculated hash sits at L (provided the walk is the
     faithful one, i.e. block_types == {1, 2} and no type-byte checks).
     """
-    if config.mode is not ParserMode.FLAWED:
-        raise ValueError("classification is defined for the flawed parser only")
     if not config.require_walk:
         raise ValueError("classification requires the structural walk")
     window = config.target_window
@@ -390,8 +382,6 @@ def exact_hit_probability(block_length: int, config: ParserConfig) -> float:
     prefix = sum(0 <= b <= 0xFF for b in config.block_types) / 65536
     if not config.require_walk:
         return prefix
-    if config.mode is not ParserMode.FLAWED:
-        raise ValueError("classification is defined for the flawed parser only")
     if block_length < 8:
         return 0.0
     window = config.target_window
@@ -407,11 +397,6 @@ def exact_hit_probability(block_length: int, config: ParserConfig) -> float:
     if config.check_type_bytes:
         total /= 256**3
     return prefix * total
-
-
-def classify_plaintext(block: bytes, config: ParserConfig) -> Optional[int]:
-    """Landing offset if the walk completes into the target window, else None."""
-    return make_classifier(config)(block)
 
 
 def pkcs1_digest_block(digest: bytes, block_length: int) -> bytes:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import re
@@ -24,7 +25,6 @@ from bootforge.bootsim import (
     ROM_SIZE,
     build_exploit_image,
     check_blacklist,
-    load_section,
     run_boot,
     run_exploit_chain,
     run_ntr_install_scenario,
@@ -34,7 +34,7 @@ from bootforge.firm import CopyMethod, SectionHeader, build_firm, fakesign_firm,
 from bootforge.forge import forge_with_private_key
 from bootforge.modmath import Console, SignatureType
 from bootforge.prng import ByteStream, derive_seed
-from bootforge.sigparser import ParserConfig, Verdict
+from bootforge.sigparser import ParserMode, Verdict
 
 
 @pytest.fixture()
@@ -307,6 +307,19 @@ class TestPagedStore:
         assert machine.read_phys(self.FCRAM, len(pattern)) == expected
 
 
+def load_section(machine, section, payload):
+    """Load one section outside a boot, as the boot does; returns its events."""
+    start = len(machine.event_log)
+    try:
+        machine.load_section(section, payload)
+    except bootsim._DataAbort as abort:
+        with contextlib.suppress(bootsim._BootHalt):
+            machine._dispatch_abort(abort.addr, 9)
+    except bootsim._BootFailure:
+        pass
+    return machine.event_log[start:]
+
+
 class TestLoadSection:
     def test_plain_copy(self, machine):
         payload = b"section payload!"
@@ -356,14 +369,12 @@ class TestRunBoot:
         assert report.locks_final["boot9_locked"] and report.locks_final["boot11_locked"]
 
     def test_honest_boot_strict_parser(self, machine, nand_key):
-        report = run_boot(
-            machine, serialize(honest_image(nand_key)), parser=ParserConfig.strict()
-        )
+        report = run_boot(machine, serialize(honest_image(nand_key)), mode=ParserMode.STRICT)
         assert report.reached_entry
 
     def test_fakesigned_rejected_by_strict(self, machine, nand_key, nand_sig):
         image = fakesign_firm(honest_image(nand_key), nand_sig)
-        report = run_boot(machine, serialize(image), parser=ParserConfig.strict())
+        report = run_boot(machine, serialize(image), mode=ParserMode.STRICT)
         assert report.outcome is BootOutcome.FAILURE
         assert not report.reached_entry
         assert report.signature_verdict.verdict is Verdict.REJECT

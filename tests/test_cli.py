@@ -102,20 +102,26 @@ def build_plain_image(workspace) -> Path:
     return out
 
 
+def build_fake_image(workspace, key_dir) -> Path:
+    """The plain image fakesigned with an oracle exploit signature: `fake.firm`."""
+    plain = build_plain_image(workspace)
+    assert (
+        main(
+            ["forge-oracle", "--key-dir", str(key_dir), "--slot", "retail.nand",
+             "--seed", SEED, "--out", "oracle"]
+        )
+        == 0
+    )
+    assert (
+        main(["fakesign", "--sig", "oracle.sig", "--image", str(plain), "--out", "fake.firm"])
+        == 0
+    )
+    return Path("fake.firm")
+
+
 class TestImagePipeline:
     def test_fakesign_verify_exit_codes(self, workspace, key_dir):
-        plain = build_plain_image(workspace)
-        assert (
-            main(
-                ["forge-oracle", "--key-dir", str(key_dir), "--slot", "retail.nand",
-                 "--seed", SEED, "--out", "oracle"]
-            )
-            == 0
-        )
-        assert (
-            main(["fakesign", "--sig", "oracle.sig", "--image", str(plain), "--out", "fake.firm"])
-            == 0
-        )
+        build_fake_image(workspace, key_dir)
         flawed = main(
             ["verify", "--image", "fake.firm", "--key-dir", str(key_dir),
              "--slot", "retail.nand", "--mode", "flawed"]
@@ -135,6 +141,30 @@ class TestImagePipeline:
             ["boot", "--image", "truncated.firm", "--key-dir", str(key_dir), "--seed", SEED]
         )
         assert (verify, boot) == (1, 1)
+
+    def test_config_parser_mode_applies_to_verify(self, workspace, key_dir):
+        fake = build_fake_image(workspace, key_dir)
+        config = workspace / "config.json"
+
+        def verify(parser_mode, *flags):
+            config.write_text(json.dumps({"parser_mode": parser_mode}))
+            return main(
+                ["--config", str(config), "verify", "--image", str(fake),
+                 "--key-dir", str(key_dir), *flags]
+            )
+
+        assert verify("strict") == 1
+        assert verify("strict", "--mode", "flawed") == 0
+        assert verify("lax") == 2
+
+    def test_bad_config_policy_is_a_usage_error(self, workspace, key_dir):
+        config = workspace / "config.json"
+        config.write_text(json.dumps({"blacklist_policy": "lax"}))
+        rc = main(
+            ["--config", str(config), "exploit", "--key-dir", str(key_dir),
+             "--seed", SEED, "--dump-keys"]
+        )
+        assert rc == 2
 
     def test_honest_sign_verifies_strict(self, workspace, key_dir):
         plain = build_plain_image(workspace)
@@ -203,8 +233,7 @@ class TestForgeCommand:
 class TestEstimateCommand:
     def test_json_output(self, workspace, capsys):
         rc = main(
-            ["estimate", "--block-length", "64", "--samples", "200000",
-             "--seed", SEED, "--prefix-only"]
+            ["estimate", "--block-length", "64", "--samples", "200000", "--seed", SEED]
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -246,6 +275,18 @@ class TestUsageErrors:
     def test_unknown_command(self, workspace):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--image", "x.firm", "--window", "0:1"],
+            ["boot", "--image", "x.firm", "--window", "0:1"],
+            ["estimate", "--seed", SEED, "--prefix-only"],
+        ],
+    )
+    def test_deleted_options(self, workspace, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_file(self, workspace, key_dir):
         assert main(["verify", "--image", "missing.firm", "--key-dir", str(key_dir)]) == 2
 
@@ -253,7 +294,7 @@ class TestUsageErrors:
 def test_config_file_supplies_defaults(workspace, key_dir, capsys):
     config = workspace / "config.json"
     config.write_text(json.dumps({"key_dir": str(key_dir), "seed": SEED, "block_length": 64}))
-    rc = main(["--config", str(config), "estimate", "--samples", "150000", "--prefix-only"])
+    rc = main(["--config", str(config), "estimate", "--samples", "150000"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["samples"] == 150000

@@ -20,11 +20,11 @@ from bootforge.firm import (
     validate_firm,
 )
 from bootforge.forge import forge_with_private_key
-from bootforge.sigparser import ParserConfig, RejectReason, StackModel, Verdict
+from bootforge.sigparser import ParserMode, RejectReason, StackModel, Verdict
 from sha256_oracle import sha256 as oracle_sha256
 
-FLAWED = ParserConfig.flawed(64)
-STRICT = ParserConfig.strict()
+FLAWED = ParserMode.FLAWED
+STRICT = ParserMode.STRICT
 
 
 def boot9_stack():

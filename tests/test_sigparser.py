@@ -9,14 +9,13 @@ from bootforge.forge import craft_exploit_plaintext
 from bootforge.sigparser import (
     HASH_LENGTH,
     ParserConfig,
-    ParserMode,
     RejectReason,
     SHA256_DIGEST_INFO,
     StackModel,
     Verdict,
     annotate_plaintext,
-    classify_plaintext,
     flawed_parse,
+    make_classifier,
     pkcs1_digest_block,
     strict_parse,
 )
@@ -82,7 +81,7 @@ class TestKnownExploitBlock:
 
     def test_classify_lands_at_0x100(self):
         config = ParserConfig.flawed(BL)
-        assert classify_plaintext(KNOWN_EXPLOIT_BLOCK, config) == 0x100
+        assert make_classifier(config)(KNOWN_EXPLOIT_BLOCK) == 0x100
 
 
 class TestHonestBlock:
@@ -215,24 +214,20 @@ class TestFlawedWalk:
 
 class TestClassify:
     def test_all_ff_block(self):
-        assert classify_plaintext(b"\xff" * BL, ParserConfig.flawed(BL)) is None
-
-    def test_requires_flawed_mode(self):
-        with pytest.raises(ValueError):
-            classify_plaintext(b"\x00" * BL, ParserConfig.strict())
+        assert make_classifier(ParserConfig.flawed(BL))(b"\xff" * BL) is None
 
     def test_empty_window_never_hits(self):
         config = ParserConfig.flawed(BL, window=[])
-        assert classify_plaintext(KNOWN_EXPLOIT_BLOCK, config) is None
+        assert make_classifier(config)(KNOWN_EXPLOIT_BLOCK) is None
 
     def test_type_byte_checks(self):
         config = ParserConfig.full_structure(BL)
         # the known block has a junk final type byte, so the stricter
         # search predicate refuses it even though the walk completes
-        assert classify_plaintext(KNOWN_EXPLOIT_BLOCK, config) is None
+        assert make_classifier(config)(KNOWN_EXPLOIT_BLOCK) is None
         block = bytearray(KNOWN_EXPLOIT_BLOCK)
         block[0xFE] = 0x04
-        assert classify_plaintext(bytes(block), config) == 0x100
+        assert make_classifier(config)(bytes(block)) == 0x100
 
     @given(seed=st.binary(min_size=1, max_size=8), offset=st.integers(0, 127))
     @settings(max_examples=120, deadline=None)
@@ -242,7 +237,7 @@ class TestClassify:
         landing = BL + offset
         block = craft_exploit_plaintext(BL, landing, seed)
         config = ParserConfig.flawed(BL)
-        got = classify_plaintext(block, config)
+        got = make_classifier(config)(block)
         assert got == landing
         stack = StackModel(
             post_bytes=bytes(range(256)) * 2, calc_hash_offset=landing, pre_gap=b""
@@ -258,7 +253,7 @@ class TestClassify:
     @settings(max_examples=300, deadline=None)
     def test_classify_success_implies_flawed_accept(self, data):
         config = ParserConfig.flawed(BL)
-        landing = classify_plaintext(data, config)
+        landing = make_classifier(config)(data)
         if landing is None:
             return
         stack = StackModel(post_bytes=b"\x55" * 0x200, calc_hash_offset=landing)
