@@ -168,11 +168,16 @@ _DISPATCH: tuple[Region, ...] = tuple(MEMORY_REGIONS[rid] for rid in _DISPATCH_O
 _NDMA_WINDOW = Region(-1, NDMA_WINDOW_BASE, NDMA_WINDOW_SIZE, "io")
 
 
-def _resolve(addr: int) -> Optional[Region]:
+def _resolve(addr: int, end: int) -> tuple[Optional[Region], int]:
+    """The row that maps `addr` (None if no row does) and where that mapping
+    stops, at most `end`: the row's end, or the base of a higher-priority
+    row that starts inside it, whichever comes first."""
     for region in _DISPATCH:
         if region.base <= addr < region.end:
-            return region
-    return None
+            return region, min(end, region.end)
+        if addr < region.base < end:
+            end = region.base
+    return None, end
 
 
 class BlacklistPolicy(Enum):
@@ -259,14 +264,9 @@ def check_blacklist(dst: int, size: int, policy: BlacklistPolicy) -> bool:
     addr = dst
     end = dst + size
     while addr < end:
-        region = _resolve(addr)
-        if region is None:
-            next_base = min((r.base for r in _DISPATCH if r.base > addr), default=end)
-            addr = min(end, next_base)
-            continue
-        if region.store == "io":
+        region, addr = _resolve(addr, end)
+        if region is not None and region.store == "io":
             return False
-        addr = min(end, region.end)
     return True
 
 
@@ -483,11 +483,12 @@ class Machine:
     def read_phys(self, addr: int, count: int, proc: int = 9) -> bytes:
         """Physical read; locked protected-ROM bytes read as zeros."""
         parts = []
-        while count > 0:
-            region = _resolve(addr)
+        end = addr + count
+        while addr < end:
+            region, stop = _resolve(addr, end)
             if region is None:
                 raise _DataAbort(addr)
-            chunk = min(count, region.end - addr)
+            chunk = stop - addr
             offset = region.store_offset + (addr - region.base)
             store = self.stores[region.store]
             if region.rom in self.locked and offset + chunk > PROTECTED_HALF:
@@ -496,23 +497,22 @@ class Machine:
                 self._log(proc, "lock_violation", addr, chunk)
             else:
                 parts.append(store.read(offset, chunk))
-            addr += chunk
-            count -= chunk
+            addr = stop
         return b"".join(parts)  # a lone bytes part comes back as it is
 
     def write_phys(self, addr: int, data: bytes, proc: int = 9) -> None:
-        pos = 0
-        while pos < len(data):
-            region = _resolve(addr + pos)
+        pos = addr
+        end = addr + len(data)
+        while pos < end:
+            region, stop = _resolve(pos, end)
             if region is None:
-                raise _DataAbort(addr + pos)
-            chunk = min(len(data) - pos, region.end - (addr + pos))
+                raise _DataAbort(pos)
             if region.rom:
-                self._log(proc, "rom_write_ignored", addr + pos, chunk)
+                self._log(proc, "rom_write_ignored", pos, stop - pos)
             else:
-                offset = region.store_offset + (addr + pos - region.base)
-                self.stores[region.store].write(offset, data[pos : pos + chunk])
-            pos += chunk
+                offset = region.store_offset + (pos - region.base)
+                self.stores[region.store].write(offset, data[pos - addr : stop - addr])
+            pos = stop
 
     def read_u32(self, addr: int) -> int:
         return int.from_bytes(self.read_phys(addr, 4), "little")
@@ -557,23 +557,23 @@ class Machine:
 
     # -- section loading and the DMA window ---------------------------------
 
-    def _run_ndma_program(self, dst: int, payload: bytes, proc: int) -> None:
+    def _run_ndma_program(self, dst: int, payload: bytes) -> None:
         if dst + len(payload) > NDMA_WINDOW_BASE + NDMA_WINDOW_SIZE:
-            self._log(proc, "ndma_malformed", dst, len(payload))
+            self._log(9, "ndma_malformed", dst, len(payload))
             raise _BootFailure("NDMA program exceeds the register window")
         if len(payload) % NDMA_RECORD_SIZE != 0:
-            self._log(proc, "ndma_malformed", dst, len(payload))
+            self._log(9, "ndma_malformed", dst, len(payload))
             raise _BootFailure("NDMA program is not whole records")
-        self._log(proc, "ndma_program", dst, len(payload))
+        self._log(9, "ndma_program", dst, len(payload))
         for pos in range(0, len(payload), NDMA_RECORD_SIZE):
             request = NdmaRequest.unpack(payload[pos : pos + NDMA_RECORD_SIZE])
             if request.trigger != 0 or request.length == 0:
-                self._log(proc, "ndma_malformed", dst + pos, NDMA_RECORD_SIZE)
+                self._log(9, "ndma_malformed", dst + pos, NDMA_RECORD_SIZE)
                 raise _BootFailure("bad NDMA request record")
-            self.copy_phys(request.src, request.dst, request.length, proc)
+            self.copy_phys(request.src, request.dst, request.length)
 
-    def load_section(self, section: SectionHeader, payload: bytes, proc: int = 9) -> None:
-        """Copy one firmware section to its physical address.
+    def load_section(self, section: SectionHeader, payload: bytes) -> None:
+        """Copy one firmware section to its physical address, as ARM9 code.
 
         Raises _BootFailure on a blacklist refusal and _DataAbort when
         the copy touches NULL or unmapped space; callers route aborts
@@ -581,15 +581,15 @@ class Machine:
         """
         dst = section.phys_addr
         if not check_blacklist(dst, section.size, self.policy):
-            self._log(proc, "blacklist_reject", dst, section.size)
+            self._log(9, "blacklist_reject", dst, section.size)
             raise _BootFailure(f"section destination {dst:#x} is blacklisted")
         if _NDMA_WINDOW.overlaps(dst, section.size):
-            self._run_ndma_program(dst, payload, proc)
+            self._run_ndma_program(dst, payload)
             return
         if dst <= 0 < dst + section.size:
             raise _DataAbort(0)
-        self.write_phys(dst, payload, proc)
-        self._log(proc, "copy", dst, section.size)
+        self.write_phys(dst, payload)
+        self._log(9, "copy", dst, section.size)
 
     # -- scripted blobs ------------------------------------------------------
 
@@ -604,9 +604,9 @@ class Machine:
             return b"", []
         return tag, fields
 
-    def _dispatch_abort(self, fault_addr: int, proc: int) -> None:
-        """Route a data abort through the current vector."""
-        self._log(proc, "data_abort", fault_addr)
+    def _dispatch_abort(self, fault_addr: int) -> None:
+        """Route an ARM9 data abort through the current vector."""
+        self._log(9, "data_abort", fault_addr)
         vector = self.read_u32(DATA_ABORT_VECTOR9)
         if vector == 0:
             self.aborts.append((fault_addr, False))
@@ -617,10 +617,10 @@ class Machine:
             raise _BootHalt("data-abort vector points at garbage")
         self.aborts.append((fault_addr, True))
         hook_a, hook_b = fields
-        self.write_u32(BOOT9_FPTR_A, hook_a, proc)
-        self.write_u32(BOOT9_FPTR_B, hook_b, proc)
-        self._log(proc, "hook_install", BOOT9_FPTR_A, 8)
-        self._log(proc, "abort_handled_skip_copy", fault_addr)
+        self.write_u32(BOOT9_FPTR_A, hook_a)
+        self.write_u32(BOOT9_FPTR_B, hook_b)
+        self._log(9, "hook_install", BOOT9_FPTR_A, 8)
+        self._log(9, "abort_handled_skip_copy", fault_addr)
 
     # -- the processors' scripts ----------------------------------------------
     #
@@ -842,7 +842,7 @@ class Machine:
                 try:
                     self.load_section(section, payload)
                 except _DataAbort as abort:
-                    self._dispatch_abort(abort.addr, 9)
+                    self._dispatch_abort(abort.addr)
                     continue
                 self.sections_loaded.append(idx)
 

@@ -199,10 +199,9 @@ def _cmd_forge_oracle(args, config: WorkspaceConfig) -> int:
 def _cmd_estimate(args, config: WorkspaceConfig) -> int:
     seed = _require_seed(args, config)
     block_length = args.block_length or config.block_length or 0x100
-    if args.full_structure:
-        parser = ParserConfig.full_structure(block_length)
-    else:
-        parser = ParserConfig.flawed(block_length, window=_parse_window(args.window))
+    parser = ParserConfig.flawed(
+        block_length, window=_parse_window(args.window), check_type_bytes=args.full_structure
+    )
     estimate = forge.estimate_hit_probability(block_length, parser, args.samples, seed)
     print(json.dumps(estimate.to_json_dict(), indent=2))
     return 0

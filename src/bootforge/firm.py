@@ -256,18 +256,9 @@ def sign_firm(image: FirmImage, key: RsaKeyPair) -> FirmImage:
     return image.with_signature(block.ljust(SIGNATURE_FIELD_LENGTH, b"\x00"))
 
 
-def fakesign_firm(
-    image: FirmImage,
-    exploit_sig: int | bytes,
-    block_length: Optional[int] = None,
-) -> FirmImage:
+def fakesign_firm(image: FirmImage, exploit_sig: bytes) -> FirmImage:
     """Embed an arbitrary signature block verbatim."""
-    if isinstance(exploit_sig, int):
-        if block_length is None:
-            raise ValueError("an integer signature needs an explicit block_length")
-        sig_bytes = to_fixed_bytes(exploit_sig, block_length)
-    else:
-        sig_bytes = bytes(exploit_sig)
+    sig_bytes = bytes(exploit_sig)
     if len(sig_bytes) > SIGNATURE_FIELD_LENGTH:
         raise ValueError("signature exceeds the 0x100-byte field")
     return image.with_signature(sig_bytes.ljust(SIGNATURE_FIELD_LENGTH, b"\x00"))

@@ -35,9 +35,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -67,8 +67,7 @@ _PREFERRED_INNER_LEN = 0x1A
 
 _ESTIMATE_DRAW_BYTES = 1 << 20  # random bytes per estimator draw
 
-_STOP_CHECK_MASK = 0x3FF      # poll the stop flag every 1024 iterations
-_COUNTER_SYNC_MASK = 0xFFF    # publish attempt counts every 4096 iterations
+_TICK_MASK = 0x3FF  # a chain calls its tick every 1024 steps
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,32 @@ def draw_root(seed: bytes | str, worker_index: int, n: int) -> int:
     return 2 + stream.int_below(n - 3)
 
 
-def _emit_progress(out: TextIO, attempts: int, started: float) -> None:
-    elapsed = time.perf_counter() - started
-    rate = attempts / elapsed if elapsed > 0 else 0.0
-    print(f"attempts={attempts} rate={rate:.0f} elapsed={elapsed:.1f}", file=out, flush=True)
+def _progress_reporter(out: Optional[TextIO]) -> Callable[[int], bool]:
+    """The search's one progress reporter: a tick that never stops a chain
+    and prints `attempts=N rate=R elapsed=S` to `out` at most once a second."""
+    started = last = time.perf_counter()
+
+    def report(attempts: int) -> bool:
+        nonlocal last
+        now = time.perf_counter()
+        if out is not None and now - last >= 1.0:
+            elapsed = now - started
+            print(f"attempts={attempts} rate={attempts / elapsed:.0f} elapsed={elapsed:.1f}",
+                  file=out, flush=True)
+            last = now
+        return False
+
+    return report
+
+
+def _classify_pair(classify, y: int, n: int, top: int, block_length: int):
+    """The first of y and n - y that classifies, as (value, landing, negated), or None."""
+    for value, negated in ((y, False), (n - y, True)):
+        if value < top:
+            landing = classify(to_fixed_bytes(value, block_length))
+            if landing is not None:
+                return value, landing, negated
+    return None
 
 
 def _run_chain(
@@ -178,78 +199,59 @@ def _run_chain(
     e: int,
     block_length: int,
     config: ParserConfig,
-    worker_seed: bytes,
+    worker_seed: bytes | str,
     worker_index: int,
     budget: int,
-    stop_check=None,
-    progress: Optional[TextIO] = None,
-    counter=None,
+    tick: Callable[[int], bool],
 ) -> Optional[ForgeResult]:
-    """One multiplicative chain; returns a confirmed hit or None."""
+    """One multiplicative chain; returns a confirmed hit or None.
+
+    Each step tests two values, so after z steps the chain has made
+    2 * z attempts.  `tick(2 * z)` is called every 1024 steps and once
+    more when the chain ends (a hit, a spent budget or a stop); a true
+    return stops the chain.
+    """
     classify = make_classifier(config)
     r = draw_root(worker_seed, worker_index, n)
     k = mod_exp(r, e, n)
-    top_byte_zero = 1 << (8 * block_length - 8)
+    # A value can only classify if its top byte is zero: y < top, or
+    # n - y < top, which is y > n - top.
+    top = 1 << (8 * block_length - 8)
+    bottom = n - top
+    steps = (budget + 1) // 2  # 2 * z < budget
 
+    started = time.perf_counter()
     y = 1
     z = 0
-    attempts = 0
-    started = time.perf_counter()
-    last_progress = started
-    while attempts < budget:
+    hit = None
+    while z < steps:
         z += 1
         y = y * k % n
-        attempts += 2
-
-        hit_value = None
-        landing = None
-        # A candidate can only classify if its top byte is zero; the
-        # integer compare stands in for decoding byte[0] every step.
-        if y < top_byte_zero:
-            landing = classify(to_fixed_bytes(y, block_length))
-            if landing is not None:
-                hit_value = y
-        if landing is None:
-            ny = n - y
-            if ny < top_byte_zero:
-                landing = classify(to_fixed_bytes(ny, block_length))
-                if landing is not None:
-                    hit_value = ny
-
-        if landing is not None:
-            negated = hit_value != y
-            signature = pow(r, z, n)
-            if negated:
-                signature = (n - signature) % n
-            # Every hit is confirmed by one full verify before release.
-            if raw_verify(signature, (n, e)) != hit_value:
-                raise RuntimeError("search hit failed verification; chain defect")
-            if counter is not None:
-                counter.value = attempts
-            return ForgeResult(
-                signature=signature,
-                plaintext=to_fixed_bytes(hit_value, block_length),
-                landing_offset=landing,
-                attempts=attempts,
-                elapsed=time.perf_counter() - started,
-                negated=negated,
-                root=r,
-                iterations=z,
-            )
-
-        if z & _COUNTER_SYNC_MASK == 0:
-            if counter is not None:
-                counter.value = attempts
-            if progress is not None:
-                now = time.perf_counter()
-                if now - last_progress >= 1.0:
-                    _emit_progress(progress, attempts, started)
-                    last_progress = now
-        if stop_check is not None and z & _STOP_CHECK_MASK == 0 and stop_check():
+        if (y < top or y > bottom) and (hit := _classify_pair(classify, y, n, top, block_length)):
             break
-    if counter is not None:
-        counter.value = attempts
-    return None
+        if z & _TICK_MASK == 0 and tick(2 * z):
+            break
+    tick(2 * z)
+    if hit is None:
+        return None
+
+    value, landing, negated = hit
+    signature = pow(r, z, n)
+    if negated:
+        signature = (n - signature) % n
+    # Every hit is confirmed by one full verify before release.
+    if raw_verify(signature, (n, e)) != value:
+        raise RuntimeError("search hit failed verification; chain defect")
+    return ForgeResult(
+        signature=signature,
+        plaintext=to_fixed_bytes(value, block_length),
+        landing_offset=landing,
+        attempts=2 * z,
+        elapsed=time.perf_counter() - started,
+        negated=negated,
+        root=r,
+        iterations=z,
+    )
 
 
 class SearchWorkerError(RuntimeError):
@@ -263,11 +265,12 @@ class SearchWorkerError(RuntimeError):
 
 
 def _worker_main(n, e, block_length, config, seed, index, budget, stop, results, counter):
+    def tick(attempts: int) -> bool:
+        counter.value = attempts
+        return stop.is_set()
+
     try:
-        found = _run_chain(
-            n, e, block_length, config, seed, index, budget,
-            stop_check=stop.is_set, counter=counter,
-        )
+        found = _run_chain(n, e, block_length, config, seed, index, budget, tick)
         if found is not None:
             results.put(found)
             stop.set()
@@ -287,9 +290,12 @@ def brute_force_search(
     """Search for an exploit signature using only the public key.
 
     Workers run independent chains from seed-derived roots and share
-    only a stop flag and the result slot; the first confirmed hit wins.
-    With worker_count == 1 the search runs inline and the attempt
-    sequence is a pure function of the seed.  Returns None when every
+    only a stop flag, the result slot and an attempt counter each; every
+    1024 chain steps a worker publishes its count and polls the flag.
+    The first confirmed hit wins, with the workers' final counts summed
+    as its attempts.  With worker_count == 1 the search runs inline and
+    the attempt sequence is a pure function of the seed.  Either way
+    `progress` gets at most one line a second.  Returns None when every
     worker spent its budget; raises SearchWorkerError when a worker died
     without a result and none found a hit.
     """
@@ -299,10 +305,11 @@ def brute_force_search(
     if n.bit_length() < 16:
         raise ValueError("modulus too small to search against")
     block_length = block_length_of(n)
-    seed = seed if isinstance(seed, bytes) else bytes.fromhex(seed)
 
     if worker_count == 1:
-        return _run_chain(n, e, block_length, config, seed, 0, max_attempts, progress=progress)
+        return _run_chain(
+            n, e, block_length, config, seed, 0, max_attempts, _progress_reporter(progress)
+        )
 
     started = time.perf_counter()
     stop = multiprocessing.Event()
@@ -320,14 +327,10 @@ def brute_force_search(
             proc.start()
             workers.append(proc)
 
-        last_progress = started
+        report = _progress_reporter(progress)
         while any(p.is_alive() for p in workers):
             time.sleep(0.05)
-            if progress is not None:
-                now = time.perf_counter()
-                if now - last_progress >= 1.0:
-                    _emit_progress(progress, sum(c.value for c in counters), started)
-                    last_progress = now
+            report(sum(c.value for c in counters))
         winner: Optional[ForgeResult] = None
         while not results.empty():
             item = results.get()
@@ -360,19 +363,14 @@ class HitProbability:
     ci_high: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "samples": self.samples,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
+        return asdict(self)
 
 
-def _wilson_interval(hits: int, samples: int, z: float = 1.959964) -> tuple[float, float]:
+def _wilson_interval(hits: int, samples: int) -> tuple[float, float]:
     if samples == 0:
         return (0.0, 1.0)
     p = hits / samples
+    z = 1.959964  # two-sided 95%
     zz = z * z
     denom = 1.0 + zz / samples
     center = (p + zz / (2 * samples)) / denom

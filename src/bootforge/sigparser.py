@@ -144,24 +144,16 @@ class StackModel:
         )
 
     @classmethod
-    def factory_firmware(
-        cls,
-        block_length: int,
-        seed: bytes | str = b"factory-stack",
-        calc_hash_offset: Optional[int] = None,
-    ) -> "StackModel":
+    def factory_firmware(cls, block_length: int) -> "StackModel":
         """Stack whose stored hash is NOT at the block end.
 
         The true offset for that parser is unknown; 0x60 bytes past the
-        block is this artifact's stand-in, and it is a free parameter.
+        block is this artifact's stand-in.
         """
-        stream = ByteStream(derive_seed(seed, "stack", block_length))
-        offset = block_length + 0x60 if calc_hash_offset is None else calc_hash_offset
-        if offset == block_length:
-            raise ValueError("factory layout must differ from the block-end layout")
+        stream = ByteStream(derive_seed(b"factory-stack", "stack", block_length))
         return cls(
             post_bytes=stream.take(0xA0),
-            calc_hash_offset=offset,
+            calc_hash_offset=block_length + 0x60,
             pre_gap=stream.take(0x20),
         )
 
@@ -290,13 +282,10 @@ def strict_parse(block: bytes, calc_hash: bytes) -> ParseOutcome:
     if early:
         return early
     bl = len(block)
-    t = -1
-    for i in range(2, bl):
-        if block[i] == 0x00:
-            t = i
-            break
-        if block[i] != 0xFF:
-            return ParseOutcome.reject(RejectReason.PADDING_NOT_FF)
+    t = block.find(0, 2)
+    end = bl if t < 0 else t
+    if block.count(0xFF, 2, end) != end - 2:
+        return ParseOutcome.reject(RejectReason.PADDING_NOT_FF)
     if t < 0:
         return ParseOutcome.reject(RejectReason.NO_PADDING_TERMINATOR)
     if t - 2 < 8:

@@ -198,6 +198,21 @@ class TestPhysicalMemory:
         wide = bootsim.ARM11_WRAM_BASE + 0x7E000
         assert machine.read_phys(wide, 4) == b"\x42" * 4
 
+    # The ARM11 work-RAM rows lie inside the wide I/O row and shadow it, so
+    # an access that starts in I/O space must switch rows at their bases.
+    def test_write_from_io_into_work_ram_lands_in_work_ram(self, machine):
+        machine.write_phys(bootsim.ARM11_WRAM_BASE - 0x10, b"\xaa" * 0x20)
+        assert machine.read_phys(bootsim.ARM11_WRAM_BASE, 0x10) == b"\xaa" * 0x10
+        machine.write_phys(bootsim.ARM11_WRAM_BASE, b"\x5a" * 4)
+        assert machine.read_phys(bootsim.ARM11_WRAM_BASE - 4, 8) == b"\xaa" * 4 + b"\x5a" * 4
+
+    def test_copy_from_io_into_work_ram_lands_in_work_ram(self, machine):
+        fcram = 0x20000000
+        machine.write_phys(fcram, bytes(range(1, 0x21)))
+        machine.copy_phys(fcram, bootsim.ARM11_WRAM_BASE - 0x10, 0x20)
+        assert machine.read_phys(bootsim.ARM11_WRAM_BASE, 0x10) == bytes(range(0x11, 0x21))
+        assert machine.read_phys(bootsim.ARM11_WRAM_BASE - 0x10, 0x20) == bytes(range(1, 0x21))
+
 
 @functools.cache
 def rom_oracle(seed, label: str) -> bytes:
@@ -314,7 +329,7 @@ def load_section(machine, section, payload):
         machine.load_section(section, payload)
     except bootsim._DataAbort as abort:
         with contextlib.suppress(bootsim._BootHalt):
-            machine._dispatch_abort(abort.addr, 9)
+            machine._dispatch_abort(abort.addr)
     except bootsim._BootFailure:
         pass
     return machine.event_log[start:]

@@ -240,6 +240,22 @@ class TestEstimateCommand:
         assert payload["samples"] == 200000
         assert 0 <= payload["p_hat"] <= 1
 
+    def test_full_structure_keeps_the_window(self, workspace, monkeypatch):
+        seen = []
+
+        def capture(block_length, config, samples, seed):
+            seen.append(config)
+            return forge.HitProbability(0, samples, 0.0, 0.0, 1.0)
+
+        monkeypatch.setattr(forge, "estimate_hit_probability", capture)
+        rc = main(
+            ["estimate", "--block-length", "64", "--full-structure", "--window", "64:64",
+             "--seed", SEED]
+        )
+        assert rc == 0
+        assert seen[0].target_window == {64}
+        assert seen[0].check_type_bytes
+
 
 class TestExploitCommands:
     def test_dump_keys_writes_sd_files(self, workspace, key_dir):

@@ -256,12 +256,6 @@ class TestSignatures:
         data = serialize(plain_image)
         assert header_digest(plain_image) == oracle_sha256(data[:0x100])
 
-    def test_fakesign_int_form_needs_block_length(self, plain_image):
-        with pytest.raises(ValueError):
-            fakesign_firm(plain_image, 12345)
-        image = fakesign_firm(plain_image, 12345, block_length=64)
-        assert image.signature[:64] == (12345).to_bytes(64, "big")
-
 
 def test_build_descriptor_loader(tmp_path):
     (tmp_path / "payload.bin").write_bytes(b"descriptor payload")

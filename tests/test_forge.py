@@ -161,6 +161,13 @@ class TestBruteForceSearch:
         assert raw_verify(result.signature, key512.public) == from_fixed_bytes(result.plaintext)
         assert make_classifier(FLAWED_64)(result.plaintext) == result.landing_offset
 
+    def test_two_worker_hit_counts_every_worker(self, key512):
+        result = brute_force_search(key512.public, FLAWED_64, 2, b"forge-test-1", 8_000_000)
+        assert result is not None
+        # The winner's final tick publishes its 2 * iterations; the other
+        # worker's final count is added to it.
+        assert 2 * result.iterations <= result.attempts <= 8_000_000
+
     def test_exhaustion_returns_none(self, key512):
         empty = ParserConfig.flawed(64, window=[])
         assert brute_force_search(key512.public, empty, 1, b"s", 10_000) is None

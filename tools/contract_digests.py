@@ -1,19 +1,23 @@
-"""Check that a change keeps the simulator's seeded artefacts byte for byte.
+"""Check that a change keeps the seeded boot, search and estimate artefacts.
 
     python3 tools/contract_digests.py --base REV
 
 Exports the tree of commit REV and the tree staged in the index (after a
 commit, the tree of HEAD), as `tools/bench_pairs.py` does, and refuses to
 start while a tracked file differs from the index.  In each tree it runs,
-with that tree's own bootforge and perfbench, 80 operations: on each of
-the benchmark seeds 1, 101, 102 and 103, the ten boots of perfbench's
-`BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy and
-the copy that runs off FCRAM.  For each operation it hashes the report
-JSON, the machine's whole event log, its SD store and its NAND store,
-and notes whether perfbench's own check passed (on seed 1 that check
-includes the pinned `GOLDEN` digests).  It prints the first operation
-whose record differs between the two trees, and exits 1 on any
-difference or any failed operation.
+with that tree's own bootforge and perfbench, 96 operations, 24 on each
+of the benchmark seeds 1, 101, 102 and 103: the ten boots of perfbench's
+`BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy, the
+copy that runs off FCRAM, the single-worker `search512` and `search2048`
+searches, and the `estimate64` and `estimate256` estimates.  For each
+simulator operation it hashes the report JSON, the machine's whole event
+log, its SD store and its NAND store.  For each search it hashes the
+result's signature, plaintext, landing offset, attempts, iterations,
+negated flag and root, but not its elapsed time.  For each estimate it
+records the hit count.  It notes whether perfbench's own check passed
+(on seed 1 that check includes the pinned `GOLDEN` digests), prints the
+first operation whose record differs between the two trees, and exits 1
+on any difference or any failed operation.
 """
 
 from __future__ import annotations
@@ -50,14 +54,15 @@ def _sha(data: bytes) -> str:
 
 
 def tree_records() -> list[dict]:
-    """The 80 operation records of the bootforge and perfbench on sys.path."""
+    """The 96 operation records of the bootforge and perfbench on sys.path."""
     from bootforge.prng import derive_seed
     from corpus import build_corpus
     from ops import BOOT_CYCLE, Ops
     from spans import Tracer
 
     class Recorder(Ops):
-        """perfbench's operations, keeping the machine and report each one checks."""
+        """perfbench's operations, keeping what each one checks: the machine
+        and report of a boot, the `ForgeResult` of a search."""
 
         def _boot_ok(self, scenario, i, seed, machine, report):
             self.seen = machine, report
@@ -66,6 +71,10 @@ def tree_records() -> list[dict]:
         def _hostile_ok(self, name, machine, report):
             self.seen = machine, report
             return Ops._hostile_ok(name, machine, report)
+
+        def _hit_ok(self, result, pub, config, seed, workers):
+            self.found = result
+            return super()._hit_ok(result, pub, config, seed, workers)
 
     tracer = Tracer(enabled=False)
     corpus = build_corpus(tracer)
@@ -92,6 +101,18 @@ def tree_records() -> list[dict]:
                 ).encode()),
                 "nand_store": _sha(machine.nand_store),
             })
+        for leg in ("search512", "search2048"):
+            ops.found = None
+            ok = ops.search(0, leg, 1).ok
+            r = ops.found
+            fields = r and [r.signature, r.plaintext.hex(), r.landing_offset, r.attempts,
+                            r.iterations, r.negated, r.root]
+            records.append({"op": f"seed {number} {leg}", "ok": ok,
+                            "result": _sha(json.dumps(fields).encode())})
+        for leg in ("estimate64", "estimate256"):
+            estimate = ops.estimate(0, leg)
+            records.append({"op": f"seed {number} {leg}", "ok": estimate.ok,
+                            "hits": estimate.hits})
     return records
 
 
