@@ -296,13 +296,52 @@ _ZERO_PAGE = bytes(_PAGE)
 
 
 class _PagedStore:
-    """Sparse zero-initialized RAM: a page exists once a nonzero byte lands on it."""
+    """Sparse zero-initialized RAM made of immutable 4 KiB pages.
 
-    def __init__(self) -> None:
-        self._pages: dict[int, bytearray] = {}
+    `_pages` maps a page number to a `bytes` page.  An absent page reads
+    as zeros, and a page exists once a nonzero byte lands on it.  A write
+    replaces each page it touches with a new `bytes` object, so a stored
+    page never changes: a copy can share a whole page by reference, and a
+    snapshot of a range is only a dict of the page references in it.
+    """
 
-    def _page(self, page: int) -> bytes | bytearray:
+    def __init__(self, pages: Optional[dict[int, bytes]] = None) -> None:
+        self._pages: dict[int, bytes] = {} if pages is None else pages
+
+    def _page(self, page: int) -> bytes:
         return self._pages.get(page, _ZERO_PAGE)
+
+    def _present(self, offset: int, count: int) -> list[int] | range:
+        """The numbers of the stored pages that [offset, offset+count) touches."""
+        first, last = offset // _PAGE, (offset + count - 1) // _PAGE
+        if last - first < len(self._pages):
+            return [page for page in range(first, last + 1) if page in self._pages]
+        return [page for page in self._pages if first <= page <= last]
+
+    def snapshot(self, offset: int, count: int) -> "_PagedStore":
+        """A store that reads [offset, offset+count) as this one reads it
+        now, whatever later writes do: the range's page references."""
+        return _PagedStore({page: self._page(page) for page in self._present(offset, count)})
+
+    def copy_from(self, offset: int, source: "_PagedStore", source_offset: int, count: int) -> None:
+        """Write the `count` bytes that `source` reads at `source_offset`.
+
+        `source` is another store, a snapshot when the ranges may share
+        backing.  Only the pages stored on either side are visited, so the
+        cost is O(pages present), not O(count).  A whole aligned source
+        page is stored by reference; an absent one over a stored page
+        leaves the shared zero page there.
+        """
+        shift = offset - source_offset
+        touched = set(self._present(offset, count))
+        for page in source._present(source_offset, count):
+            lo = max(page * _PAGE, source_offset) + shift
+            hi = min((page + 1) * _PAGE, source_offset + count) + shift
+            touched.update(range(lo // _PAGE, (hi - 1) // _PAGE + 1))
+        for page in sorted(touched):
+            lo = max(page * _PAGE, offset)
+            hi = min((page + 1) * _PAGE, offset + count)
+            self.write(lo, source.read(lo - shift, hi - lo))
 
     def read(self, offset: int, count: int) -> bytes:
         parts = []
@@ -312,26 +351,27 @@ class _PagedStore:
             parts.append(self._page(page)[within : within + chunk])
             offset += chunk
             count -= chunk
-        return b"".join(parts)
+        return b"".join(parts)  # a whole aligned page comes back as the page itself
 
     def write(self, offset: int, data: bytes) -> None:
         pos = 0
         while pos < len(data):
             page, within = divmod(offset + pos, _PAGE)
             end = min(len(data), pos + _PAGE - within)
-            buf = self._pages.get(page)
-            if buf is None:
+            old = self._pages.get(page)
+            if old is None:
                 if data.count(0, pos, end) == end - pos:
                     pos = end  # zeros onto an absent page change nothing
                     continue
-                buf = self._pages[page] = bytearray(_PAGE)
-            buf[within : within + end - pos] = data[pos:end]
+                old = _ZERO_PAGE
+            # A whole page of `bytes` is stored as the very object written.
+            self._pages[page] = old[:within] + data[pos:end] + old[within + end - pos :]
             pos = end
 
 
 class _RomStore(_PagedStore):
     """Read-only boot ROM: the byte stream keyed by `seed`, derived a page
-    at a time the first time a read touches that page."""
+    at a time the first time a read or a snapshot touches that page."""
 
     _BLOCKS_PER_PAGE = _PAGE // BLOCK_SIZE
 
@@ -346,6 +386,9 @@ class _RomStore(_PagedStore):
             data = stream_blocks(self._seed, first, first + self._BLOCKS_PER_PAGE)
             self._pages[page] = data
         return data
+
+    def _present(self, offset: int, count: int) -> range:
+        return range(offset // _PAGE, (offset + count - 1) // _PAGE + 1)  # every ROM page has bytes
 
     def write(self, offset: int, data: bytes) -> None:
         raise RuntimeError("ROM store is not writable")
@@ -390,7 +433,11 @@ class Machine:
     ROM contents and the verifier's stack junk are pseudorandom bytes
     derived from the construction seed.  Each ROM derives a 4 KiB page
     the first time a read touches it and keeps it for the machine's
-    life, so a boot that never reads a ROM never pays for one.
+    life, so a boot that never reads a ROM never pays for one.  Every
+    store holds immutable pages, and a physical copy (`copy_phys`, the
+    DMA engine's records) moves page references: its cost grows with the
+    pages stored in its source and destination ranges, not with its
+    length, so a 128 MiB record over untouched RAM costs dict lookups.
     Non-volatile stores (NAND, the cartridge slot, the SD card) and the
     ROMs persist across boots; everything else, the ROM locks included,
     is rebuilt by each boot.  The boot source is what the held inputs
@@ -480,39 +527,54 @@ class Machine:
         self._step += 1
         self.event_log.append(Event(self._step, proc, kind, addr, length))
 
-    def read_phys(self, addr: int, count: int, proc: int = 9) -> bytes:
-        """Physical read; locked protected-ROM bytes read as zeros."""
-        parts = []
+    def _source(self, addr: int, count: int, proc: int) -> list[tuple[int, _PagedStore, int, int]]:
+        """What a read of [addr, addr+count) reads: (addr, store, offset,
+        length) pieces in address order, a locked protected half as an empty
+        store.  Logs a `lock_violation` per locked row piece, and raises
+        _DataAbort at the first unmapped byte before any byte is read."""
+        pieces = []
         end = addr + count
         while addr < end:
             region, stop = _resolve(addr, end)
             if region is None:
                 raise _DataAbort(addr)
-            chunk = stop - addr
             offset = region.store_offset + (addr - region.base)
             store = self.stores[region.store]
-            if region.rom in self.locked and offset + chunk > PROTECTED_HALF:
+            if region.rom in self.locked and offset + stop - addr > PROTECTED_HALF:
                 cut = max(0, PROTECTED_HALF - offset)
-                parts += [store.read(offset, cut), bytes(chunk - cut)]
-                self._log(proc, "lock_violation", addr, chunk)
+                pieces.append((addr, store, offset, cut))
+                pieces.append((addr + cut, _PagedStore(), 0, stop - addr - cut))
+                self._log(proc, "lock_violation", addr, stop - addr)
             else:
-                parts.append(store.read(offset, chunk))
+                pieces.append((addr, store, offset, stop - addr))
             addr = stop
-        return b"".join(parts)  # a lone bytes part comes back as it is
+        return pieces
+
+    def _dest(self, addr: int, count: int, proc: int):
+        """Yield (addr, stop, store, offset) for each writable row piece of
+        [addr, addr+count) in address order, logging `rom_write_ignored` for
+        a ROM row.  An unmapped byte raises _DataAbort when the walk reaches
+        it, so the pieces before it are written."""
+        end = addr + count
+        while addr < end:
+            region, stop = _resolve(addr, end)
+            if region is None:
+                raise _DataAbort(addr)
+            if region.rom:
+                self._log(proc, "rom_write_ignored", addr, stop - addr)
+            else:
+                offset = region.store_offset + (addr - region.base)
+                yield addr, stop, self.stores[region.store], offset
+            addr = stop
+
+    def read_phys(self, addr: int, count: int, proc: int = 9) -> bytes:
+        """Physical read; locked protected-ROM bytes read as zeros."""
+        pieces = self._source(addr, count, proc)
+        return b"".join([store.read(offset, n) for _, store, offset, n in pieces])
 
     def write_phys(self, addr: int, data: bytes, proc: int = 9) -> None:
-        pos = addr
-        end = addr + len(data)
-        while pos < end:
-            region, stop = _resolve(pos, end)
-            if region is None:
-                raise _DataAbort(pos)
-            if region.rom:
-                self._log(proc, "rom_write_ignored", pos, stop - pos)
-            else:
-                offset = region.store_offset + (pos - region.base)
-                self.stores[region.store].write(offset, data[pos - addr : stop - addr])
-            pos = stop
+        for pos, stop, store, offset in self._dest(addr, len(data), proc):
+            store.write(offset, data[pos - addr : stop - addr])
 
     def read_u32(self, addr: int) -> int:
         return int.from_bytes(self.read_phys(addr, 4), "little")
@@ -520,7 +582,7 @@ class Machine:
     def write_u32(self, addr: int, value: int, proc: int = 9) -> None:
         self.write_phys(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"), proc)
 
-    def _track_exfil(self, src: int, length: int, data: bytes) -> Optional[str]:
+    def _track_exfil(self, src: int, length: int) -> Optional[str]:
         for proc, rom_base in ((9, BOOT9_ROM_BASE), (11, BOOT11_ROM_BASE)):
             if proc in self.locked:
                 continue
@@ -528,21 +590,39 @@ class Machine:
             hi = min(src + length, rom_base + ROM_SIZE)
             if lo < hi:
                 key = f"boot{proc}_protected"
-                captured = data[lo - src : hi - src]
-                if len(captured) > len(self.exfiltrated.get(key, b"")):
-                    self.exfiltrated[key] = captured
+                if hi - lo > len(self.exfiltrated.get(key, b"")):
+                    # Only the unlocked ROM row maps these addresses.
+                    rom = self._roms[f"boot{proc}rom"]
+                    self.exfiltrated[key] = rom.read(lo - rom_base, hi - lo)
                 return f"copy_protected{proc}"
         return None
 
     def copy_phys(self, src: int, dst: int, length: int, proc: int = 9) -> None:
-        """Unchecked physical copy; touching address 0 aborts."""
+        """Unchecked physical copy with memmove semantics; touching address 0 aborts.
+
+        The source is mapped first, as snapshots of page references, so an
+        unmapped source byte aborts before anything is written.  The
+        destination rows are then written in order; an unmapped destination
+        byte aborts with the rows before it written.  Only pages stored in
+        the source or the destination range are touched.
+        """
         if length <= 0:
             raise _BootFailure("zero-length copy request")
         if src <= 0 < src + length or dst <= 0 < dst + length:
             raise _DataAbort(0)
-        data = self.read_phys(src, length, proc)
-        kind = self._track_exfil(src, length, data) or "copy"
-        self.write_phys(dst, data, proc)
+        source = [
+            (pos, store.snapshot(offset, n), offset, n)
+            for pos, store, offset, n in self._source(src, length, proc)
+        ]
+        kind = self._track_exfil(src, length) or "copy"
+        shift = dst - src
+        for pos, stop, store, offset in self._dest(dst, length, proc):
+            for src_pos, snapshot, src_offset, n in source:
+                lo, hi = max(pos, src_pos + shift), min(stop, src_pos + n + shift)
+                if lo < hi:
+                    store.copy_from(
+                        offset + lo - pos, snapshot, src_offset + lo - shift - src_pos, hi - lo
+                    )
         self._log(proc, kind, dst, length)
 
     # -- lock registers ----------------------------------------------------

@@ -48,6 +48,7 @@ from .prng import ByteStream, derive_seed
 from .sigparser import ParserConfig, exact_hit_probability, make_classifier
 
 __all__ = [
+    "MAX_WORKERS",
     "ForgeResult",
     "HitProbability",
     "SearchWorkerError",
@@ -68,6 +69,8 @@ _PREFERRED_INNER_LEN = 0x1A
 _ESTIMATE_DRAW_BYTES = 1 << 20  # random bytes per estimator draw
 
 _TICK_MASK = 0x3FF  # a chain calls its tick every 1024 steps
+
+MAX_WORKERS = 64  # a search starts one process per worker; a typo must not fork thousands
 
 
 @dataclass(frozen=True)
@@ -300,8 +303,8 @@ def brute_force_search(
     without a result and none found a hit.
     """
     n, e = pub
-    if worker_count < 1:
-        raise ValueError("worker_count must be at least 1")
+    if not 1 <= worker_count <= MAX_WORKERS:
+        raise ValueError(f"worker_count must be 1 to {MAX_WORKERS}, not {worker_count}")
     if n.bit_length() < 16:
         raise ValueError("modulus too small to search against")
     block_length = block_length_of(n)
@@ -367,8 +370,6 @@ class HitProbability:
 
 
 def _wilson_interval(hits: int, samples: int) -> tuple[float, float]:
-    if samples == 0:
-        return (0.0, 1.0)
     p = hits / samples
     z = 1.959964  # two-sided 95%
     zz = z * z

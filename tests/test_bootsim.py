@@ -1,10 +1,12 @@
 import contextlib
 import functools
 import hashlib
+import random
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bootforge import bootsim
@@ -320,6 +322,197 @@ class TestPagedStore:
         expected[dst : dst + length] = expected[src : src + length]
         machine.copy_phys(self.FCRAM + src, self.FCRAM + dst, length)
         assert machine.read_phys(self.FCRAM, len(pattern)) == expected
+
+
+FCRAM = 0x20000000
+FCRAM_END = 0x28000000  # unmapped from here on
+
+# Where the copy cases start: each anchor plus a small shift.
+COPY_ANCHORS = {
+    "fcram": FCRAM,
+    "fcram_end": FCRAM_END,                             # an off-map tail
+    "io_to_wram": bootsim.ARM11_WRAM_BASE,              # I/O row 1 runs into row 10
+    "alias": 0x1FFFE000,                                # row 7 inside row 10, one store
+    "arm9": ARM9_SCRATCH,
+    "itcm_to_arm9": 0x08000000,                         # ITCM row 5 ends at ARM9 row 3
+    "boot9": BOOT9_ROM_BASE + PROTECTED_HALF,
+    "boot11": BOOT11_ROM_BASE + PROTECTED_HALF,
+    "boot11_end": BOOT11_ROM_BASE + ROM_SIZE,           # a ROM tail off the map
+}
+copy_addresses = st.builds(
+    lambda anchor, shift: COPY_ANCHORS[anchor] + shift,
+    st.sampled_from(sorted(COPY_ANCHORS)),
+    st.integers(-0x2400, 0x2400),
+)
+
+
+def oracle_copy(machine, src, dst, length, proc=9):
+    """The read-whole-then-write `copy_phys` that the streaming one replaced."""
+    if length <= 0:
+        raise bootsim._BootFailure("zero-length copy request")
+    if src <= 0 < src + length or dst <= 0 < dst + length:
+        raise bootsim._DataAbort(0)
+    data = machine.read_phys(src, length, proc)
+    kind = "copy"
+    for rom_proc, rom_base in ((9, BOOT9_ROM_BASE), (11, BOOT11_ROM_BASE)):
+        if rom_proc in machine.locked:
+            continue
+        lo = max(src, rom_base + PROTECTED_HALF)
+        hi = min(src + length, rom_base + ROM_SIZE)
+        if lo < hi:
+            key = f"boot{rom_proc}_protected"
+            captured = data[lo - src : hi - src]
+            if len(captured) > len(machine.exfiltrated.get(key, b"")):
+                machine.exfiltrated[key] = captured
+            kind = f"copy_protected{rom_proc}"
+            break
+    machine.write_phys(dst, data, proc)
+    machine._log(proc, kind, dst, length)
+
+
+def fill_pattern(seed, length, dense):
+    """Random bytes, or mostly zeros with a nonzero byte every 0x1F0 or so."""
+    rng = random.Random(seed)
+    if dense:
+        return rng.randbytes(length)
+    data = bytearray(length)
+    for pos in range(rng.randrange(0x1F0), length, 0x1F0):
+        data[pos] = rng.randrange(1, 256)
+    return bytes(data)
+
+
+def mapped_bytes(machine, addr, length):
+    """The bytes of [addr, addr+length) up to its first unmapped byte."""
+    try:
+        return machine.read_phys(addr, length)
+    except bootsim._DataAbort as abort:
+        return machine.read_phys(addr, abort.addr - addr) if abort.addr > addr else b""
+
+
+def ram_pages(machine):
+    return {
+        name: {page: bytes(data) for page, data in store._pages.items()}
+        for name, store in machine.stores.items()
+        if not name.endswith("rom")
+    }
+
+
+def dense(addr, length):
+    return [(addr, length, True, addr)]
+
+
+class TestStreamingCopy:
+    """`copy_phys` against the read-whole-then-write copy it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fills=st.lists(
+            st.tuples(copy_addresses, st.integers(1, 0x3000), st.booleans(), st.integers(0, 99)),
+            max_size=4,
+        ),
+        src=copy_addresses,
+        dst=copy_addresses,
+        length=st.integers(1, 0x6000),
+        locked=st.sets(st.sampled_from([9, 11])),
+        proc=st.sampled_from([9, 11]),
+    )
+    # Dense, unaligned: the last source page's bytes end one byte into a new page.
+    @example(fills=dense(FCRAM + 0x10, 0x1FF0), src=FCRAM + 0x123, dst=FCRAM + 0x10124,
+             length=0x2F00, locked=set(), proc=9)
+    @example(fills=[(FCRAM, 0x5000, False, 1)], src=FCRAM, dst=FCRAM + 0x100000,
+             length=0x5000, locked=set(), proc=9)
+    @example(fills=dense(FCRAM, 0x4000), src=FCRAM + 0x100, dst=FCRAM + 0x903,
+             length=0x3000, locked=set(), proc=9)
+    @example(fills=dense(FCRAM, 0x4000), src=FCRAM + 0x903, dst=FCRAM + 0x100,
+             length=0x3000, locked=set(), proc=9)
+    @example(fills=dense(0x1FFFE000 - 0x400, 0x1000), src=0x1FFFE000 - 0x400,
+             dst=0x1FFFE000 + 0x203, length=0x1000, locked=set(), proc=11)
+    @example(fills=dense(bootsim.ARM11_WRAM_BASE - 0x800, 0x1000) + dense(0x1FFFDFF0, 0x900),
+             src=bootsim.ARM11_WRAM_BASE - 0x800, dst=FCRAM + 5, length=0x7F000,
+             locked=set(), proc=9)
+    @example(fills=dense(FCRAM, 0x1000) + dense(FCRAM + 0x7E700, 0x1000), src=FCRAM,
+             dst=bootsim.ARM11_WRAM_BASE - 0x800, length=0x7F000, locked=set(), proc=9)
+    @example(fills=[], src=BOOT9_ROM_BASE + 0x7F00, dst=ARM9_SCRATCH + 3, length=0x8100,
+             locked=set(), proc=9)
+    @example(fills=[], src=BOOT9_ROM_BASE + 0x7F00, dst=ARM9_SCRATCH + 3, length=0x8100,
+             locked={9}, proc=9)
+    @example(fills=[], src=BOOT11_ROM_BASE + 0x7000, dst=FCRAM, length=0x9000,
+             locked={11}, proc=11)
+    @example(fills=dense(FCRAM, 0x2000), src=FCRAM, dst=BOOT9_ROM_BASE + 0x100,
+             length=0x2000, locked=set(), proc=9)
+    @example(fills=dense(FCRAM, 0x2000), src=FCRAM, dst=BOOT11_ROM_BASE + 0xF000,
+             length=0x2000, locked=set(), proc=11)
+    @example(fills=dense(FCRAM_END - 0x1800, 0x1800), src=FCRAM_END - 0x1800, dst=FCRAM,
+             length=0x3000, locked=set(), proc=9)
+    @example(fills=dense(FCRAM, 0x3000), src=FCRAM, dst=FCRAM_END - 0x1800,
+             length=0x3000, locked=set(), proc=9)
+    def test_matches_the_read_then_write_copy(
+        self, registry, fills, src, dst, length, locked, proc
+    ):
+        seen = []
+        for copy in (Machine.copy_phys, oracle_copy):
+            machine = Machine(b"test-machine", registry)
+            for addr, count, is_dense, seed in fills:
+                with contextlib.suppress(bootsim._DataAbort):
+                    machine.write_phys(addr, fill_pattern(seed, count, is_dense))
+            for rom_proc in sorted(locked):
+                machine.engage_lock(rom_proc)
+            source = mapped_bytes(machine, src, length)
+            logged = len(machine.event_log)
+            try:
+                copy(machine, src, dst, length, proc)
+                fault = None
+            except bootsim._DataAbort as abort:
+                fault = abort.addr
+            events = machine.event_log[logged:]
+            if fault is not None and fault < dst or src + length <= dst or dst + length <= src:
+                # Nothing was written over the source.
+                assert mapped_bytes(machine, src, length) == source
+            seen.append((
+                fault, events, dict(machine.exfiltrated), ram_pages(machine),
+                mapped_bytes(machine, src, length), mapped_bytes(machine, dst, length),
+            ))
+        assert seen[0] == seen[1]
+
+
+class TestBoundedCopies:
+    """One hostile NDMA record costs page references, not its length in bytes."""
+
+    @staticmethod
+    def traced_record(machine, src, dst, length):
+        section = SectionHeader(
+            offset=0x200, phys_addr=NDMA_WINDOW_BASE, size=16, copy_method=CopyMethod.NDMA
+        )
+        tracemalloc.start()
+        try:
+            events = load_section(machine, section, NdmaRequest(src, dst, length).pack())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return events, peak
+
+    @pytest.mark.parametrize(
+        "src, dst, length",
+        [(0x10000000, FCRAM, 128 << 20), (FCRAM, FCRAM + (32 << 20), 32 << 20)],
+    )
+    def test_big_record_peaks_below_a_mib(self, machine, src, dst, length):
+        events, peak = self.traced_record(machine, src, dst, length)
+        assert peak < 1 << 20
+        assert [(e.kind, e.addr, e.length) for e in events] == [
+            ("ndma_program", NDMA_WINDOW_BASE, 16), ("copy", dst, length)
+        ]
+
+    def test_offmap_record_aborts_before_writing(self, machine):
+        src = FCRAM_END - (16 << 20)
+        machine.write_phys(src, b"\x5a" * 0x2000)
+        pages = dict(machine.stores["fcram"]._pages)
+        events, peak = self.traced_record(machine, src, FCRAM, 32 << 20)
+        assert peak < 1 << 20
+        assert [(e.kind, e.addr) for e in events] == [
+            ("ndma_program", NDMA_WINDOW_BASE), ("data_abort", FCRAM_END)
+        ]
+        assert machine.aborts == [(FCRAM_END, False)]
+        assert machine.stores["fcram"]._pages == pages
 
 
 def load_section(machine, section, payload):

@@ -229,6 +229,21 @@ class TestForgeCommand:
         assert "error: search worker 0 exited with code 9" in err
         assert "exhausted" not in err
 
+    @pytest.mark.parametrize("workers", [0, forge.MAX_WORKERS + 1])
+    def test_worker_count_out_of_range_is_a_usage_error(
+        self, workspace, key_dir, monkeypatch, capsys, workers
+    ):
+        def refuse_process(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(forge.multiprocessing, "Process", refuse_process)
+        rc = main(
+            ["forge", "--key-dir", str(key_dir), "--slot", "retail.nand",
+             "--seed", SEED, "--workers", str(workers), "--max-attempts", "1000"]
+        )
+        assert rc == 2
+        assert f"worker_count must be 1 to {forge.MAX_WORKERS}" in capsys.readouterr().err
+
 
 class TestEstimateCommand:
     def test_json_output(self, workspace, capsys):

@@ -5,16 +5,20 @@
 Exports the tree of commit REV and the tree staged in the index (after a
 commit, the tree of HEAD), as `tools/bench_pairs.py` does, and refuses to
 start while a tracked file differs from the index.  In each tree it runs,
-with that tree's own bootforge and perfbench, 96 operations, 24 on each
+with that tree's own bootforge and perfbench, 132 operations, 33 on each
 of the benchmark seeds 1, 101, 102 and 103: the ten boots of perfbench's
 `BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy, the
-copy that runs off FCRAM, the single-worker `search512` and `search2048`
-searches, and the `estimate64` and `estimate256` estimates.  For each
-simulator operation it hashes the report JSON, the machine's whole event
-log, its SD store and its NAND store.  For each search it hashes the
-result's signature, plaintext, landing offset, attempts, iterations,
-negated flag and root, but not its elapsed time.  For each estimate it
-records the hit count.  It notes whether perfbench's own check passed
+copy that runs off FCRAM, the nine direct `Machine.copy_phys` cases of
+`COPY_CASES`, the single-worker `search512` and `search2048` searches,
+and the `estimate64` and `estimate256` estimates.  For each simulator
+operation it hashes the report JSON, the machine's whole event log, its
+SD store and its NAND store.  Each copy case runs on a fresh machine
+whose RAM holds a written pattern; it hashes the event log, the
+`exfiltrated` captures and the bytes read back over the source and
+destination ranges, and records the data-abort address, if any.  For
+each search it hashes the result's signature, plaintext, landing offset,
+attempts, iterations, negated flag and root, but not its elapsed time.
+For each estimate it records the hit count.  It notes whether perfbench's own check passed
 (on seed 1 that check includes the pinned `GOLDEN` digests), prints the
 first operation whose record differs between the two trees, and exits 1
 on any difference or any failed operation.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -33,6 +38,25 @@ from pathlib import Path
 from bench_pairs import ROOT, export_tree, git
 
 SEEDS = (1, 101, 102, 103)
+
+FCRAM = 0x20000000
+FCRAM_END = 0x28000000  # unmapped from here on
+ARM11_WRAM = 0x1FF80000  # work-RAM row 10 inside I/O row 1; alias row 7 at 0x1FFFE000
+# (name, src, dst, length, ROM locks engaged first) for the direct copies.
+COPY_CASES = (
+    ("dense unaligned", FCRAM + 0x123, FCRAM + 0x10124, 0x2F00, ()),
+    ("overlap forward", FCRAM + 0x100, FCRAM + 0x903, 0x3000, ()),
+    ("overlap backward", FCRAM + 0x903, FCRAM + 0x100, 0x3000, ()),
+    ("rom unlocked", 0xFFFF7F00, 0x08004003, 0x8100, ()),
+    ("rom locked", 0xFFFF7F00, 0x08004003, 0x8100, (9,)),
+    ("io into work ram", ARM11_WRAM - 0x800, FCRAM + 5, 0x7F000, ()),
+    ("alias", 0x1FFFDC00, 0x1FFFE203, 0x1000, ()),
+    ("offmap source tail", FCRAM_END - 0x1800, FCRAM, 0x3000, ()),
+    ("offmap destination tail", FCRAM, FCRAM_END - 0x1800, 0x3000, ()),
+)
+# (addr, length) of the random bytes written before each copy case.
+COPY_PATTERN = ((FCRAM, 0x4000), (ARM11_WRAM - 0x800, 0x1000), (0x1FFFDC00, 0x1000),
+                (FCRAM_END - 0x1800, 0x1800))
 
 # Run in a child process inside an exported tree: argv[1] is the tree,
 # argv[2] this directory.
@@ -53,8 +77,45 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def copy_records(number: int) -> list[dict]:
+    """One record per `COPY_CASES` entry, on machines seeded from `number`."""
+    from bootforge.bootsim import Machine, _DataAbort
+    from bootforge.modmath import KeyRegistry
+
+    def mapped(machine, addr, length):
+        try:
+            return machine.read_phys(addr, length)
+        except _DataAbort as abort:
+            return machine.read_phys(addr, abort.addr - addr) if abort.addr > addr else b""
+
+    records = []
+    for name, src, dst, length, locks in COPY_CASES:
+        machine = Machine(f"contract-copy-{number}".encode(), KeyRegistry())
+        rng = random.Random(f"{number} {name}")
+        for addr, count in COPY_PATTERN:
+            machine.write_phys(addr, rng.randbytes(count))
+        for proc in locks:
+            machine.engage_lock(proc)
+        try:
+            machine.copy_phys(src, dst, length)
+            fault = None
+        except _DataAbort as abort:
+            fault = abort.addr
+        records.append({
+            "op": f"seed {number} copy {name}",
+            "ok": (fault is None) != name.startswith("offmap"),
+            "fault": fault,
+            "events": _sha("".join(e.line() + "\n" for e in machine.event_log).encode()),
+            "exfiltrated": _sha(json.dumps(
+                {key: data.hex() for key, data in sorted(machine.exfiltrated.items())}
+            ).encode()),
+            "read_back": _sha(mapped(machine, src, length) + mapped(machine, dst, length)),
+        })
+    return records
+
+
 def tree_records() -> list[dict]:
-    """The 96 operation records of the bootforge and perfbench on sys.path."""
+    """The 132 operation records of the bootforge and perfbench on sys.path."""
     from bootforge.prng import derive_seed
     from corpus import build_corpus
     from ops import BOOT_CYCLE, Ops
@@ -101,6 +162,7 @@ def tree_records() -> list[dict]:
                 ).encode()),
                 "nand_store": _sha(machine.nand_store),
             })
+        records += copy_records(number)
         for leg in ("search512", "search2048"):
             ops.found = None
             ok = ops.search(0, leg, 1).ok
