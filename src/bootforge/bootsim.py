@@ -647,7 +647,11 @@ class Machine:
         self._log(9, "ndma_program", dst, len(payload))
         for pos in range(0, len(payload), NDMA_RECORD_SIZE):
             request = NdmaRequest.unpack(payload[pos : pos + NDMA_RECORD_SIZE])
-            if request.trigger != 0 or request.length == 0:
+            if (
+                request.trigger != 0
+                or request.length == 0
+                or max(request.src, request.dst) + request.length > 1 << 32
+            ):
                 self._log(9, "ndma_malformed", dst + pos, NDMA_RECORD_SIZE)
                 raise _BootFailure("bad NDMA request record")
             self.copy_phys(request.src, request.dst, request.length)

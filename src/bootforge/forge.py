@@ -70,6 +70,8 @@ _ESTIMATE_DRAW_BYTES = 1 << 20  # random bytes per estimator draw
 
 _TICK_MASK = 0x3FF  # a chain calls its tick every 1024 steps
 
+_STOP_GRACE_S = 1.0  # time a worker gets to see the stop flag before it is terminated
+
 MAX_WORKERS = 64  # a search starts one process per worker; a typo must not fork thousands
 
 
@@ -300,7 +302,8 @@ def brute_force_search(
     the attempt sequence is a pure function of the seed.  Either way
     `progress` gets at most one line a second.  Returns None when every
     worker spent its budget; raises SearchWorkerError when a worker died
-    without a result and none found a hit.
+    without a result and none found a hit.  A worker's death stops its
+    peers at once.
     """
     n, e = pub
     if not 1 <= worker_count <= MAX_WORKERS:
@@ -331,9 +334,15 @@ def brute_force_search(
             workers.append(proc)
 
         report = _progress_reporter(progress)
-        while any(p.is_alive() for p in workers):
+        while any(p.is_alive() for p in workers) and not any(p.exitcode for p in workers):
             time.sleep(0.05)
             report(sum(c.value for c in counters))
+        # A crashed worker stops the search at once; its peers get a grace
+        # period to notice the flag, so a hit already in flight still wins.
+        stop.set()
+        deadline = time.monotonic() + _STOP_GRACE_S
+        for proc in workers:
+            proc.join(max(0.0, deadline - time.monotonic()))
         winner: Optional[ForgeResult] = None
         while not results.empty():
             item = results.get()

@@ -8,6 +8,17 @@ that is a convention of this artifact, not a hardware fact.
 Key generation is fully deterministic: prime candidates and Miller-Rabin
 witnesses are drawn from a counter-mode SHA-256 stream (see `prng`), so a
 seed pins down the whole keypair.
+
+Most candidates that survive trial division are composite, and a round
+on them is decided without the full modexp where possible.  m =
+gcd(P mod c, c), with P the product of the primes from 53 to 10**4, is a
+divisor of candidate c; when 1 < m < c, a round with witness a can pass
+modulo c only if it passes modulo m (a**d = 1 or a**(d * 2**j) = -1 for
+some j < r), because m divides c.  So a round that fails modulo m fails
+outright, and any other round is run in full modulo c, as before.  Every
+witness is still drawn before its round is decided, in the same order
+and number, so the same candidates are accepted and the keys do not
+change.
 """
 
 from __future__ import annotations
@@ -44,6 +55,20 @@ MAX_BITS = 4096
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _MILLER_RABIN_ROUNDS = 40
+
+
+def _primes_below(bound: int) -> list[int]:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return [i for i, is_prime in enumerate(sieve) if is_prime]
+
+
+# The product of the primes above _SMALL_PRIMES and below 10**4: one
+# reduction and one gcd against it find a candidate's small divisor m.
+_DIVISOR_PRODUCT = math.prod(p for p in _primes_below(10**4) if p > _SMALL_PRIMES[-1])
 
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:
@@ -90,6 +115,21 @@ class RsaKeyPair:
         return (self.n, self.e)
 
 
+def _strong_round(a: int, d: int, r: int, modulus: int) -> bool:
+    """Whether a**d = 1 or a**(d * 2**j) = -1 modulo `modulus` for some j < r.
+
+    With modulus - 1 = d * 2**r this is one Miller-Rabin round.
+    """
+    x = pow(a, d, modulus)
+    if x == 1 or x == modulus - 1:
+        return True
+    for _ in range(r - 1):
+        x = pow(x, 2, modulus)
+        if x == modulus - 1:
+            return True
+    return False
+
+
 def _is_probable_prime(candidate: int, witnesses: ByteStream) -> bool:
     if candidate < 2:
         return False
@@ -103,16 +143,13 @@ def _is_probable_prime(candidate: int, witnesses: ByteStream) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    m = math.gcd(_DIVISOR_PRODUCT % candidate, candidate)
+    has_divisor = 1 < m < candidate
     for _ in range(_MILLER_RABIN_ROUNDS):
         a = 2 + witnesses.int_below(candidate - 3)
-        x = pow(a, d, candidate)
-        if x == 1 or x == candidate - 1:
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, candidate)
-            if x == candidate - 1:
-                break
-        else:
+        if has_divisor and not _strong_round(a % m, d, r, m):
+            return False
+        if not _strong_round(a, d, r, candidate):
             return False
     return True
 

@@ -514,6 +514,15 @@ class TestBoundedCopies:
         assert machine.aborts == [(FCRAM_END, False)]
         assert machine.stores["fcram"]._pages == pages
 
+    def test_record_past_the_32_bit_bus_is_malformed(self, machine):
+        pages = dict(machine.stores["fcram"]._pages)
+        events, _ = self.traced_record(machine, 0xFFFF7F00, FCRAM, 0x8200)
+        assert [(e.kind, e.addr, e.length) for e in events] == [
+            ("ndma_program", NDMA_WINDOW_BASE, 16), ("ndma_malformed", NDMA_WINDOW_BASE, 16)
+        ]
+        assert machine.aborts == []
+        assert machine.stores["fcram"]._pages == pages
+
 
 def load_section(machine, section, payload):
     """Load one section outside a boot, as the boot does; returns its events."""

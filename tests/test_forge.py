@@ -45,6 +45,12 @@ def hang_worker(*args):
     time.sleep(60)
 
 
+def crash_first_worker(*args):
+    if args[5] == 0:  # the worker index
+        os._exit(9)
+    time.sleep(60)
+
+
 class FailingProgress:
     def write(self, text):
         raise RuntimeError("progress sink failed")
@@ -178,6 +184,14 @@ class TestBruteForceSearch:
         with pytest.raises(SearchWorkerError, match="worker 0 exited with code 9") as info:
             brute_force_search(key512.public, FLAWED_64, 2, b"s", 10_000)
         assert (info.value.worker, info.value.exitcode) == (0, 9)
+
+    def test_crash_stops_the_search_at_once(self, key512, monkeypatch):
+        monkeypatch.setattr(forge, "_worker_main", crash_first_worker)
+        started = time.monotonic()
+        with pytest.raises(SearchWorkerError, match="worker 0 exited with code 9"):
+            brute_force_search(key512.public, FLAWED_64, 3, b"s", 10_000)
+        assert time.monotonic() - started < 5
+        assert multiprocessing.active_children() == []
 
     def test_parent_failure_terminates_live_workers(self, key512, monkeypatch):
         monkeypatch.setattr(forge, "_worker_main", hang_worker)

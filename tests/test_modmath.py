@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootforge import modmath
 from bootforge.modmath import (
     Console,
     KeyRegistry,
@@ -58,6 +60,139 @@ def test_keypair_deterministic():
     a = generate_keypair(512, b"seed A")
     b = generate_keypair(512, b"seed A")
     assert (a.n, a.e, a.d) == (b.n, b.e, b.d)
+
+
+# sha256 of "n:e:d" in hex for fixed seeds.  Determinism alone would not
+# notice a change in which candidates are accepted or in how much of the
+# witness stream each test consumes; these pins do.
+PINNED_KEYS = [
+    (512, b"seed A", 65537, "316fa9bdb51208b6a5a43d83c6d7288436db43771ad3b12c8c67e8252a818030"),
+    (1024, b"pin 1024", 65537, "17dcd67b46c1d34f5925cdcc058c3c6ee98ed90a264f3311971dff345fe7f5e4"),
+    (256, b"e3 seed", 3, "1d63177fc66bfce0bb9f37dbf1be671e01ee59b048b39e4c9559eedf44295cad"),
+    (2048, b"pin 2048", 65537, "9e83c5270bdd0eee5b15ef5afd8fe57ca05da252585f49a558d3cf5cb593434a"),
+]
+
+
+@pytest.mark.parametrize("bits, seed, exponent, fingerprint", PINNED_KEYS)
+def test_keypair_is_pinned(bits, seed, exponent, fingerprint):
+    key = generate_keypair(bits, seed, exponent)
+    assert key.bit_length == bits and key.e == exponent
+    assert hashlib.sha256(f"{key.n:x}:{key.e:x}:{key.d:x}".encode()).hexdigest() == fingerprint
+
+
+class ReplayWitnesses:
+    """A witness stream that replays fixed bases, cyclically, and counts its draws."""
+
+    def __init__(self, bases):
+        self.bases = list(bases)
+        self.draws = 0
+
+    def int_below(self, bound):
+        a = self.bases[self.draws % len(self.bases)]
+        self.draws += 1
+        assert 2 <= a < bound + 2
+        return a - 2
+
+
+def reference_is_probable_prime(c, witnesses):
+    """Plain Miller-Rabin: trial division by the primes to 47, then 40 full rounds."""
+    if c < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if c == p:
+            return True
+        if c % p == 0:
+            return False
+    d, r = c - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for _ in range(40):
+        x = pow(2 + witnesses.int_below(c - 3), d, c)
+        if x in (1, c - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def verdict_and_draws(is_prime, c, bases):
+    witnesses = ReplayWitnesses(bases)
+    return is_prime(c, witnesses), witnesses.draws
+
+
+def round_moduli(monkeypatch, c, bases):
+    """The moduli of the rounds `_is_probable_prime` runs, in order."""
+    moduli = []
+    strong_round = modmath._strong_round
+
+    def spy(a, d, r, modulus):
+        moduli.append(modulus)
+        return strong_round(a, d, r, modulus)
+
+    monkeypatch.setattr(modmath, "_strong_round", spy)
+    modmath._is_probable_prime(c, ReplayWitnesses(bases))
+    monkeypatch.undo()
+    return moduli
+
+
+class TestDivisorShortcut:
+    """The rounds decided modulo a small divisor agree with plain Miller-Rabin."""
+
+    @staticmethod
+    def random_bases(rng, c):
+        return [rng.randrange(2, c - 1) for _ in range(40)]
+
+    def assert_matches_reference(self, c, bases):
+        expected = verdict_and_draws(reference_is_probable_prime, c, bases)
+        assert verdict_and_draws(modmath._is_probable_prime, c, bases) == expected
+        return expected
+
+    @pytest.mark.parametrize("c", [53, 9973, 10007, 1_000_003, 2**61 - 1, 2**127 - 1, 2**521 - 1])
+    def test_primes(self, c):
+        bases = self.random_bases(random.Random(c), c)
+        assert self.assert_matches_reference(c, bases) == (True, 40)
+
+    def test_random_composites(self):
+        rng = random.Random(9)
+        small = [p for p in range(53, 10**4) if all(p % q for q in range(2, p))]
+        verdicts = set()
+        for _ in range(300):
+            c = rng.choice(small) * (rng.getrandbits(rng.choice([16, 64, 512])) | 1)
+            if rng.random() < 0.3:
+                c = rng.getrandbits(256) | 1
+            verdicts.add(self.assert_matches_reference(c, self.random_bases(rng, c)))
+        assert (False, 1) in verdicts and (False, 0) in verdicts
+
+    @pytest.mark.parametrize(
+        "c, m, liars, witness, witness_moduli",
+        [
+            # 2251 * 11251.  Every base prime to 2251 passes modulo 2251, so
+            # 7 needs the full round to fail; 2251 itself is refused at m.
+            (25326001, 2251, [2, 3, 5], 7, [2251, 25326001]),
+            (25326001, 2251, [2, 3, 5], 2251, [2251]),
+            # 151 * 751 * 28351, with 28351 above the bound.
+            (3215031751, 151 * 751, [2, 3, 5, 7], 11, [151 * 751]),
+        ],
+    )
+    def test_strong_pseudoprimes_reach_the_full_round(
+        self, monkeypatch, c, m, liars, witness, witness_moduli
+    ):
+        assert self.assert_matches_reference(c, liars) == (True, 40)
+        assert self.assert_matches_reference(c, liars + [witness]) == (False, len(liars) + 1)
+        # Each liar passes modulo m and then the full round modulo c.
+        assert round_moduli(monkeypatch, c, liars) == [m, c] * 40
+        assert round_moduli(monkeypatch, c, liars + [witness]) == [m, c] * len(liars) + witness_moduli
+
+    def test_divisor_equal_to_the_candidate_runs_full_rounds(self, monkeypatch):
+        # 829 * 1657, both below the bound: m == c, no shortcut.  2 and 3 are liars.
+        c = 1373653
+        assert self.assert_matches_reference(c, [2, 3]) == (True, 40)
+        assert self.assert_matches_reference(c, [2, 3, 5]) == (False, 3)
+        assert round_moduli(monkeypatch, c, [2, 3, 5]) == [c, c, c]
 
 
 def test_keypair_seed_sensitivity():
