@@ -1,11 +1,17 @@
 """Deterministic simulation of the two-processor secure boot and its defeat.
 
 The machine models what the attack actually exercises: a physical
-address space with the eight documented ARM9 regions plus simulated
-boot-ROM and ARM11 work-RAM regions, write-once lock registers that
+address space with the eight documented ARM9 rows plus simulated
+boot-ROM and ARM11 work-RAM rows, write-once lock registers that
 disable each ROM's protected half (and, by the same write, enable that
 processor's FCRAM), a DMA engine programmed through a memory-mapped
 register window, a data-abort vector, and two scripted processors.
+
+The rows name the map; they do not each own memory.  Every RAM byte,
+I/O registers included, lives in one paged store keyed by physical
+address, so rows that overlap or alias name the same bytes.  The rows
+merge into five mapped spans with unmapped gaps between them, and any
+access either lies in one span or aborts at the span's end.
 
 Processors are not instruction-level emulators.  Handler and hook
 payloads are byte blobs carrying an 8-byte tag plus little-endian u32
@@ -27,7 +33,7 @@ the DMA register window is decoded as copy requests and executed
 immediately (before the locks engage), a section whose destination is
 unmapped (NULL included) raises a data abort through the current vector,
 and destination blacklisting is a pluggable policy: the shipped flaw
-blacklists only the boot-ROM data region, the hardened variant also
+blacklists only the boot-ROM data row, the hardened variant also
 refuses I/O registers, the exception-vector page, and the ROMs.
 
 Everything is a pure function of the construction seed, the image bytes
@@ -43,7 +49,7 @@ import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import firm as firmmod
 from .firm import CopyMethod, FirmImage, FirmParseError, SectionHeader
@@ -133,8 +139,6 @@ class Region:
     rid: int
     base: int
     size: int
-    store: str
-    store_offset: int = 0
     rom: int = 0  # the processor whose boot ROM backs the row; 0 for RAM and I/O
 
     @property
@@ -145,39 +149,50 @@ class Region:
         return addr < self.end and addr + size > self.base
 
 
-# The eight documented ARM9 rows (ids 0-7) plus the simulator-defined
-# ROM and work-RAM rows.  Row 6 shares the boot-ROM span and backing.
+# The eight documented ARM9 rows (ids 0-7) plus the simulator-defined ROM
+# and work-RAM rows.  Rows overlap: row 3 lies in row 2, row 6 is row 8
+# (the blacklist names the boot-ROM data row by it), work RAM (rows 7 and
+# 10) ends the I/O row 1.  A byte's backing depends only on its address,
+# so overlapping rows name the same bytes.
 MEMORY_REGIONS: tuple[Region, ...] = (
-    Region(0, 0x20000000, 0x08000000, "fcram"),
-    Region(1, 0x10000000, 0x10000000, "io"),
-    Region(2, 0x08000000, 0x00100000, "arm9"),
-    Region(3, 0x08000000, 0x00000400, "arm9"),
-    Region(4, 0xFFF00000, 0x00004000, "dtcm"),
-    Region(5, 0x07FF8000, 0x00008000, "itcm"),
-    Region(6, 0xFFFF0000, 0x00010000, "boot9rom", rom=9),
-    Region(7, 0x1FFFE000, 0x00000800, "arm11wram", store_offset=0x7E000),
-    Region(8, BOOT9_ROM_BASE, ROM_SIZE, "boot9rom", rom=9),
-    Region(9, BOOT11_ROM_BASE, ROM_SIZE, "boot11rom", rom=11),
-    Region(10, ARM11_WRAM_BASE, ARM11_WRAM_SIZE, "arm11wram"),
+    Region(0, 0x20000000, 0x08000000),
+    Region(1, 0x10000000, 0x10000000),
+    Region(2, 0x08000000, 0x00100000),
+    Region(3, 0x08000000, 0x00000400),
+    Region(4, 0xFFF00000, 0x00004000),
+    Region(5, 0x07FF8000, 0x00008000),
+    Region(6, 0xFFFF0000, 0x00010000, rom=9),
+    Region(7, 0x1FFFE000, 0x00000800),
+    Region(8, BOOT9_ROM_BASE, ROM_SIZE, rom=9),
+    Region(9, BOOT11_ROM_BASE, ROM_SIZE, rom=11),
+    Region(10, ARM11_WRAM_BASE, ARM11_WRAM_SIZE),
 )
 
-# Address resolution priority: specific rows shadow the wide I/O and
-# FCRAM rows; the ROM row shadows its blacklist alias.
-_DISPATCH_ORDER = (3, 2, 5, 4, 8, 9, 7, 10, 6, 1, 0)
-_DISPATCH: tuple[Region, ...] = tuple(MEMORY_REGIONS[rid] for rid in _DISPATCH_ORDER)
-_NDMA_WINDOW = Region(-1, NDMA_WINDOW_BASE, NDMA_WINDOW_SIZE, "io")
+
+def _merge_rows(rows: tuple[Region, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The mapped spans (base, end, rom): rows of one backing that touch or
+    overlap, merged, in address order."""
+    spans: list[list[int]] = []
+    for row in sorted(rows, key=lambda row: row.base):
+        if spans and row.base <= spans[-1][1] and row.rom == spans[-1][2]:
+            spans[-1][1] = max(spans[-1][1], row.end)
+        else:
+            spans.append([row.base, row.end, row.rom])
+    return tuple((base, end, rom) for base, end, rom in spans)
 
 
-def _resolve(addr: int, end: int) -> tuple[Optional[Region], int]:
-    """The row that maps `addr` (None if no row does) and where that mapping
-    stops, at most `end`: the row's end, or the base of a higher-priority
-    row that starts inside it, whichever comes first."""
-    for region in _DISPATCH:
-        if region.base <= addr < region.end:
-            return region, min(end, region.end)
-        if addr < region.base < end:
-            end = region.base
-    return None, end
+# boot11 ROM, ITCM + ARM9 RAM, I/O + work RAM + FCRAM, DTCM, boot9 ROM.
+# Unmapped gaps separate them, so a range that leaves a span aborts.
+_SPANS = _merge_rows(MEMORY_REGIONS)
+_NDMA_WINDOW = Region(-1, NDMA_WINDOW_BASE, NDMA_WINDOW_SIZE)
+# What the hardened policy also refuses: the vector page, both ROMs, and
+# the I/O registers (row 1 below the work RAM that ends it).
+_HARDENED_REFUSED = (
+    Region(-1, VECTOR_PAGE_BASE, 0x1000),
+    MEMORY_REGIONS[8],
+    MEMORY_REGIONS[9],
+    Region(-1, MEMORY_REGIONS[1].base, ARM11_WRAM_BASE - MEMORY_REGIONS[1].base),
+)
 
 
 class BlacklistPolicy(Enum):
@@ -249,31 +264,25 @@ def check_blacklist(dst: int, size: int, policy: BlacklistPolicy) -> bool:
     """True if a section load to [dst, dst+size) is allowed."""
     if size <= 0:
         return True
-    boot9_data = MEMORY_REGIONS[6]
-    if boot9_data.overlaps(dst, size):
+    if MEMORY_REGIONS[6].overlaps(dst, size):  # the boot-ROM data row
         return False
     if policy is BlacklistPolicy.BOOT9_DATA_ONLY:
         return True
-    # Hardened additions: vector page, both ROMs, and anything that
-    # actually resolves to the I/O register row.
-    if dst < VECTOR_PAGE_BASE + 0x1000 and dst + size > VECTOR_PAGE_BASE:
-        return False
-    for rid in (8, 9):
-        if MEMORY_REGIONS[rid].overlaps(dst, size):
-            return False
-    addr = dst
-    end = dst + size
-    while addr < end:
-        region, addr = _resolve(addr, end)
-        if region is not None and region.store == "io":
-            return False
-    return True
+    return not any(row.overlaps(dst, size) for row in _HARDENED_REFUSED)
 
 
 class _DataAbort(Exception):
     def __init__(self, addr: int):
         super().__init__(f"data abort at {addr:#010x}")
         self.addr = addr
+
+
+def _span(addr: int) -> tuple[int, int, int]:
+    """The mapped span (base, end, rom) that holds `addr`; an unmapped address aborts."""
+    for span in _SPANS:
+        if span[0] <= addr < span[1]:
+            return span
+    raise _DataAbort(addr)
 
 
 class _BootFailure(Exception):
@@ -295,6 +304,13 @@ _PAGE = 0x1000
 _ZERO_PAGE = bytes(_PAGE)
 
 
+def _page_range(offset: int, count: int) -> range:
+    """The numbers of the pages [offset, offset+count) touches: none if it is empty."""
+    if count <= 0:
+        return range(0)
+    return range(offset // _PAGE, (offset + count - 1) // _PAGE + 1)
+
+
 class _PagedStore:
     """Sparse zero-initialized RAM made of immutable 4 KiB pages.
 
@@ -313,10 +329,10 @@ class _PagedStore:
 
     def _present(self, offset: int, count: int) -> list[int] | range:
         """The numbers of the stored pages that [offset, offset+count) touches."""
-        first, last = offset // _PAGE, (offset + count - 1) // _PAGE
-        if last - first < len(self._pages):
-            return [page for page in range(first, last + 1) if page in self._pages]
-        return [page for page in self._pages if first <= page <= last]
+        pages = _page_range(offset, count)
+        if len(pages) <= len(self._pages):
+            return [page for page in pages if page in self._pages]
+        return [page for page in self._pages if page in pages]
 
     def snapshot(self, offset: int, count: int) -> "_PagedStore":
         """A store that reads [offset, offset+count) as this one reads it
@@ -388,7 +404,7 @@ class _RomStore(_PagedStore):
         return data
 
     def _present(self, offset: int, count: int) -> range:
-        return range(offset // _PAGE, (offset + count - 1) // _PAGE + 1)  # every ROM page has bytes
+        return _page_range(offset, count)  # every ROM page has bytes
 
     def write(self, offset: int, data: bytes) -> None:
         raise RuntimeError("ROM store is not writable")
@@ -433,16 +449,17 @@ class Machine:
     ROM contents and the verifier's stack junk are pseudorandom bytes
     derived from the construction seed.  Each ROM derives a 4 KiB page
     the first time a read touches it and keeps it for the machine's
-    life, so a boot that never reads a ROM never pays for one.  Every
-    store holds immutable pages, and a physical copy (`copy_phys`, the
-    DMA engine's records) moves page references: its cost grows with the
+    life, so a boot that never reads a ROM never pays for one.  All RAM,
+    the I/O registers included, is one store, `ram`, of immutable pages
+    keyed by physical address.  A physical copy (`copy_phys`, the DMA
+    engine's records) moves page references: its cost grows with the
     pages stored in its source and destination ranges, not with its
     length, so a 128 MiB record over untouched RAM costs dict lookups.
     Non-volatile stores (NAND, the cartridge slot, the SD card) and the
-    ROMs persist across boots; everything else, the ROM locks included,
-    is rebuilt by each boot.  The boot source is what the held inputs
-    select (`select_boot_source`), and the verifying keys come from
-    `registry`.
+    ROMs persist across boots; everything else, RAM and the ROM locks
+    included, is rebuilt by each boot.  The boot source is what the held
+    inputs select (`select_boot_source`), and the verifying keys come
+    from `registry`.
     """
 
     def __init__(
@@ -460,8 +477,7 @@ class Machine:
         self.workdir = Path(workdir) if workdir else None
 
         self._roms = {
-            "boot9rom": _RomStore(derive_seed(self.seed, "boot9-rom")),
-            "boot11rom": _RomStore(derive_seed(self.seed, "boot11-rom")),
+            proc: _RomStore(derive_seed(self.seed, f"boot{proc}-rom")) for proc in (9, 11)
         }
 
         self.inputs = BootInputs()
@@ -476,15 +492,7 @@ class Machine:
     # -- machine lifecycle ------------------------------------------------
 
     def _reset_volatile(self) -> None:
-        self.stores: dict[str, object] = {
-            "fcram": _PagedStore(),
-            "io": _PagedStore(),
-            "arm9": _PagedStore(),
-            "dtcm": _PagedStore(),
-            "itcm": _PagedStore(),
-            "arm11wram": _PagedStore(),
-            **self._roms,
-        }
+        self.ram = _PagedStore()
         self.locked: set[int] = set()  # processors whose ROM lock has engaged
         self.aborts: list[tuple[int, bool]] = []
         self.exfiltrated: dict[str, bytes] = {}
@@ -493,19 +501,19 @@ class Machine:
 
     @property
     def boot9_rom(self) -> bytes:
-        return self._roms["boot9rom"].read(0, ROM_SIZE)
+        return self._roms[9].read(0, ROM_SIZE)
 
     @property
     def boot11_rom(self) -> bytes:
-        return self._roms["boot11rom"].read(0, ROM_SIZE)
+        return self._roms[11].read(0, ROM_SIZE)
 
     @property
     def protected_boot9(self) -> bytes:
-        return self._roms["boot9rom"].read(PROTECTED_HALF, PROTECTED_HALF)
+        return self._roms[9].read(PROTECTED_HALF, PROTECTED_HALF)
 
     @property
     def protected_boot11(self) -> bytes:
-        return self._roms["boot11rom"].read(PROTECTED_HALF, PROTECTED_HALF)
+        return self._roms[11].read(PROTECTED_HALF, PROTECTED_HALF)
 
     def insert_cartridge(self, image_bytes: bytes) -> None:
         self.cart_store = bytes(image_bytes)
@@ -527,54 +535,45 @@ class Machine:
         self._step += 1
         self.event_log.append(Event(self._step, proc, kind, addr, length))
 
-    def _source(self, addr: int, count: int, proc: int) -> list[tuple[int, _PagedStore, int, int]]:
-        """What a read of [addr, addr+count) reads: (addr, store, offset,
-        length) pieces in address order, a locked protected half as an empty
-        store.  Logs a `lock_violation` per locked row piece, and raises
-        _DataAbort at the first unmapped byte before any byte is read."""
-        pieces = []
-        end = addr + count
-        while addr < end:
-            region, stop = _resolve(addr, end)
-            if region is None:
-                raise _DataAbort(addr)
-            offset = region.store_offset + (addr - region.base)
-            store = self.stores[region.store]
-            if region.rom in self.locked and offset + stop - addr > PROTECTED_HALF:
-                cut = max(0, PROTECTED_HALF - offset)
-                pieces.append((addr, store, offset, cut))
-                pieces.append((addr + cut, _PagedStore(), 0, stop - addr - cut))
-                self._log(proc, "lock_violation", addr, stop - addr)
-            else:
-                pieces.append((addr, store, offset, stop - addr))
-            addr = stop
-        return pieces
+    def _source(self, addr: int, count: int, proc: int) -> tuple[_PagedStore, int]:
+        """The store and offset that a read of [addr, addr+count) reads,
+        with a locked ROM's protected half cut off as a snapshot and logged
+        as a `lock_violation`.  A range that leaves its span then aborts at
+        the span's end, before any byte is read."""
+        base, end, rom = _span(addr)
+        n = min(count, end - addr)
+        store, offset = (self._roms[rom], addr - base) if rom else (self.ram, addr)
+        if rom in self.locked and offset + n > PROTECTED_HALF:
+            store = store.snapshot(offset, PROTECTED_HALF - offset)  # empty past the cut
+            self._log(proc, "lock_violation", addr, n)
+        if n < count:
+            raise _DataAbort(end)
+        return store, offset
 
-    def _dest(self, addr: int, count: int, proc: int):
-        """Yield (addr, stop, store, offset) for each writable row piece of
-        [addr, addr+count) in address order, logging `rom_write_ignored` for
-        a ROM row.  An unmapped byte raises _DataAbort when the walk reaches
-        it, so the pieces before it are written."""
-        end = addr + count
-        while addr < end:
-            region, stop = _resolve(addr, end)
-            if region is None:
-                raise _DataAbort(addr)
-            if region.rom:
-                self._log(proc, "rom_write_ignored", addr, stop - addr)
-            else:
-                offset = region.store_offset + (addr - region.base)
-                yield addr, stop, self.stores[region.store], offset
-            addr = stop
+    def _dest(self, addr: int, count: int, proc: int, write: Callable[[int], None]) -> None:
+        """Write the part of [addr, addr+count) inside its span: `write(n)`
+        stores its first n bytes in RAM at `addr`, and a ROM logs
+        `rom_write_ignored` instead.  A range that leaves its span then
+        aborts at the span's end."""
+        base, end, rom = _span(addr)
+        n = min(count, end - addr)
+        if rom:
+            self._log(proc, "rom_write_ignored", addr, n)
+        else:
+            write(n)
+        if n < count:
+            raise _DataAbort(end)
 
     def read_phys(self, addr: int, count: int, proc: int = 9) -> bytes:
         """Physical read; locked protected-ROM bytes read as zeros."""
-        pieces = self._source(addr, count, proc)
-        return b"".join([store.read(offset, n) for _, store, offset, n in pieces])
+        if count <= 0:
+            return b""
+        store, offset = self._source(addr, count, proc)
+        return store.read(offset, count)
 
     def write_phys(self, addr: int, data: bytes, proc: int = 9) -> None:
-        for pos, stop, store, offset in self._dest(addr, len(data), proc):
-            store.write(offset, data[pos - addr : stop - addr])
+        if data:
+            self._dest(addr, len(data), proc, lambda n: self.ram.write(addr, data[:n]))
 
     def read_u32(self, addr: int) -> int:
         return int.from_bytes(self.read_phys(addr, 4), "little")
@@ -591,38 +590,27 @@ class Machine:
             if lo < hi:
                 key = f"boot{proc}_protected"
                 if hi - lo > len(self.exfiltrated.get(key, b"")):
-                    # Only the unlocked ROM row maps these addresses.
-                    rom = self._roms[f"boot{proc}rom"]
-                    self.exfiltrated[key] = rom.read(lo - rom_base, hi - lo)
+                    self.exfiltrated[key] = self._roms[proc].read(lo - rom_base, hi - lo)
                 return f"copy_protected{proc}"
         return None
 
     def copy_phys(self, src: int, dst: int, length: int, proc: int = 9) -> None:
         """Unchecked physical copy with memmove semantics; touching address 0 aborts.
 
-        The source is mapped first, as snapshots of page references, so an
-        unmapped source byte aborts before anything is written.  The
-        destination rows are then written in order; an unmapped destination
-        byte aborts with the rows before it written.  Only pages stored in
-        the source or the destination range are touched.
+        The source is read first, as a snapshot of its page references, so
+        a source that leaves its span aborts before anything is written.
+        The destination's part inside its span is then written, and a
+        destination that leaves its span aborts at the span's end.  Only
+        pages stored in the source or the destination range are touched.
         """
         if length <= 0:
             raise _BootFailure("zero-length copy request")
         if src <= 0 < src + length or dst <= 0 < dst + length:
             raise _DataAbort(0)
-        source = [
-            (pos, store.snapshot(offset, n), offset, n)
-            for pos, store, offset, n in self._source(src, length, proc)
-        ]
+        store, offset = self._source(src, length, proc)
+        snapshot = store.snapshot(offset, length)
         kind = self._track_exfil(src, length) or "copy"
-        shift = dst - src
-        for pos, stop, store, offset in self._dest(dst, length, proc):
-            for src_pos, snapshot, src_offset, n in source:
-                lo, hi = max(pos, src_pos + shift), min(stop, src_pos + n + shift)
-                if lo < hi:
-                    store.copy_from(
-                        offset + lo - pos, snapshot, src_offset + lo - shift - src_pos, hi - lo
-                    )
+        self._dest(dst, length, proc, lambda n: self.ram.copy_from(dst, snapshot, offset, n))
         self._log(proc, kind, dst, length)
 
     # -- lock registers ----------------------------------------------------

@@ -118,7 +118,7 @@ def _machine(args, config: WorkspaceConfig, seed: bytes, registry: KeyRegistry) 
     return Machine(
         seed,
         registry,
-        console=Console(getattr(args, "console", "retail")),
+        console=Console(args.console),
         policy=_policy(args, config),
         workdir=_workdir(args) / "machine",
     )
@@ -428,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--mode", choices=_values(ParserMode))
     p.add_argument("--policy", choices=_values(BlacklistPolicy))
-    p.add_argument("--console", choices=["retail", "dev"], default="retail")
+    p.add_argument("--console", choices=_values(Console), default=Console.RETAIL.value)
     p.add_argument("--keys", help="comma-separated held keys")
     p.add_argument("--shell-closed", action="store_true")
     p.add_argument("--magnet", action="store_true")
@@ -442,13 +442,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-keys", action="store_true")
     p.add_argument("--second-image", help="image chain-loaded from SD without --dump-keys")
     p.add_argument("--policy", choices=_values(BlacklistPolicy))
-    p.add_argument("--console", choices=["retail", "dev"], default="retail")
+    p.add_argument("--console", choices=_values(Console), default=Console.RETAIL.value)
     p.set_defaults(func=_cmd_exploit)
 
     p = sub.add_parser("ntr-install", help="cartridge-boot installer plus NAND re-boot")
     common(p, keyed=True)
     p.add_argument("--policy", choices=_values(BlacklistPolicy))
-    p.add_argument("--console", choices=["retail", "dev"], default="retail")
+    p.add_argument("--console", choices=_values(Console), default=Console.RETAIL.value)
     p.set_defaults(func=_cmd_ntr_install)
 
     return top

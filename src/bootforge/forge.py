@@ -300,7 +300,8 @@ def brute_force_search(
     The first confirmed hit wins, with the workers' final counts summed
     as its attempts.  With worker_count == 1 the search runs inline and
     the attempt sequence is a pure function of the seed.  Either way
-    `progress` gets at most one line a second.  Returns None when every
+    `progress` gets at most one line a second.  A config that cannot hit
+    is a ValueError before any chain runs.  Returns None when every
     worker spent its budget; raises SearchWorkerError when a worker died
     without a result and none found a hit.  A worker's death stops its
     peers at once.
@@ -311,6 +312,8 @@ def brute_force_search(
     if n.bit_length() < 16:
         raise ValueError("modulus too small to search against")
     block_length = block_length_of(n)
+    if exact_hit_probability(block_length, config) == 0:
+        raise ValueError(f"the parser config cannot hit a {block_length}-byte block")
 
     if worker_count == 1:
         return _run_chain(

@@ -245,6 +245,13 @@ def parse_slot_label(label: str) -> tuple[Console, SignatureType]:
         raise ValueError(f"unknown key slot {label!r}") from None
 
 
+def _checked_public(pub: tuple[int, int]) -> tuple[int, int]:
+    n, e = pub
+    if n <= 1 or e <= 1:
+        raise ValueError("public key values out of range")
+    return n, e
+
+
 class KeyRegistry:
     """The six public-key slots: (retail|dev) x (ncsd|nand|nonnand).
 
@@ -258,10 +265,7 @@ class KeyRegistry:
         slot = (console, sig_type)
         if slot in self._slots:
             raise ValueError(f"slot {slot_label(console, sig_type)} already assigned")
-        n, e = pub
-        if n <= 1 or e <= 1:
-            raise ValueError("public key values out of range")
-        self._slots[slot] = (n, e)
+        self._slots[slot] = _checked_public(pub)
 
     def get(self, console: Console, sig_type: SignatureType) -> tuple[int, int]:
         try:
@@ -309,8 +313,7 @@ def read_key_file(path: str | Path) -> RsaKeyPair:
         fields[name] = value
     if "n" not in fields or "e" not in fields:
         raise ValueError("key file must contain n= and e=")
-    n = int(fields["n"], 16)
-    e = int(fields["e"], 16)
+    n, e = _checked_public((int(fields["n"], 16), int(fields["e"], 16)))
     d = int(fields["d"], 16) if "d" in fields else 0
     return RsaKeyPair(n=n, e=e, d=d)
 

@@ -140,7 +140,65 @@ class TestBootSourceSelection:
         assert select_boot_source(BootInputs()) is BootSource.NAND
 
 
+# The row priority that resolved addresses before the rows became one map:
+# earlier rows shadow later ones they overlap.
+ROW_PRIORITY = (3, 2, 5, 4, 8, 9, 7, 10, 6, 1, 0)
+
+
+def row_walk_blacklist(dst, size, policy):
+    """`check_blacklist` as it was decided by walking the rows in priority
+    order: the hardened policy refused any byte whose row was I/O row 1."""
+    rows = bootsim.MEMORY_REGIONS
+    if size <= 0:
+        return True
+    if rows[6].overlaps(dst, size):
+        return False
+    if policy is BlacklistPolicy.BOOT9_DATA_ONLY:
+        return True
+    if dst < bootsim.VECTOR_PAGE_BASE + 0x1000 and dst + size > bootsim.VECTOR_PAGE_BASE:
+        return False
+    if rows[8].overlaps(dst, size) or rows[9].overlaps(dst, size):
+        return False
+    addr, end = dst, dst + size
+    while addr < end:
+        stop = end
+        for rid in ROW_PRIORITY:
+            row = rows[rid]
+            if row.base <= addr < row.end:
+                if rid == 1:
+                    return False
+                stop = min(stop, row.end)
+                break
+            if addr < row.base < stop:
+                stop = row.base
+        addr = stop
+    return True
+
+
+ROW_EDGES = sorted(
+    {edge for row in bootsim.MEMORY_REGIONS for edge in (row.base, row.end)}
+    | {bootsim.VECTOR_PAGE_BASE + 0x1000}
+)
+near_edges = st.builds(
+    lambda edge, shift: min(max(edge + shift, 0), (1 << 32) - 1),
+    st.sampled_from(ROW_EDGES),
+    st.integers(-0x3000, 0x3000),
+)
+
+
 class TestBlacklist:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        dst=near_edges | st.integers(0, (1 << 32) - 1),
+        size=st.integers(-4, 0x3000) | st.integers(0, 1 << 32),
+        policy=st.sampled_from(BlacklistPolicy),
+    )
+    @example(dst=bootsim.ARM11_WRAM_BASE - 1, size=1, policy=BlacklistPolicy.HARDENED)
+    @example(dst=bootsim.ARM11_WRAM_BASE, size=0x08000000, policy=BlacklistPolicy.HARDENED)
+    @example(dst=0x0FFFFFFF, size=1, policy=BlacklistPolicy.HARDENED)
+    def test_matches_the_row_walk(self, dst, size, policy):
+        assert check_blacklist(dst, size, policy) == row_walk_blacklist(dst, size, policy)
+
     def test_boot_rom_data_region_always_refused(self):
         for policy in BlacklistPolicy:
             assert not check_blacklist(0xFFFF0000, 0x10, policy)
@@ -200,8 +258,8 @@ class TestPhysicalMemory:
         wide = bootsim.ARM11_WRAM_BASE + 0x7E000
         assert machine.read_phys(wide, 4) == b"\x42" * 4
 
-    # The ARM11 work-RAM rows lie inside the wide I/O row and shadow it, so
-    # an access that starts in I/O space must switch rows at their bases.
+    # The ARM11 work-RAM rows end the wide I/O row, so an access that starts
+    # in I/O space runs on into work RAM.
     def test_write_from_io_into_work_ram_lands_in_work_ram(self, machine):
         machine.write_phys(bootsim.ARM11_WRAM_BASE - 0x10, b"\xaa" * 0x20)
         assert machine.read_phys(bootsim.ARM11_WRAM_BASE, 0x10) == b"\xaa" * 0x10
@@ -214,6 +272,79 @@ class TestPhysicalMemory:
         machine.copy_phys(fcram, bootsim.ARM11_WRAM_BASE - 0x10, 0x20)
         assert machine.read_phys(bootsim.ARM11_WRAM_BASE, 0x10) == bytes(range(0x11, 0x21))
         assert machine.read_phys(bootsim.ARM11_WRAM_BASE - 0x10, 0x20) == bytes(range(1, 0x21))
+
+
+def row_holding(addr):
+    """The first `MEMORY_REGIONS` row that holds `addr`, or None."""
+    return next((row for row in bootsim.MEMORY_REGIONS if row.base <= addr < row.end), None)
+
+
+class TestAddressMap:
+    def test_spans_are_pairwise_apart(self):
+        spans = bootsim._SPANS
+        assert [(base, end) for base, end, _ in spans] == [
+            (BOOT11_ROM_BASE, BOOT11_ROM_BASE + ROM_SIZE),
+            (0x07FF8000, 0x08100000),
+            (0x10000000, 0x28000000),
+            (0xFFF00000, 0xFFF04000),
+            (BOOT9_ROM_BASE, 1 << 32),
+        ]
+        for i, (base, end, _) in enumerate(spans):
+            for other_base, other_end, _ in spans[i + 1 :]:
+                assert end < other_base or other_end < base  # an unmapped gap between
+        for row in bootsim.MEMORY_REGIONS:  # each row in one span of its own backing
+            assert [rom for base, end, rom in spans
+                    if base <= row.base and row.end <= end] == [row.rom]
+
+    @settings(max_examples=200, deadline=None)
+    @given(addr=near_edges, length=st.integers(1, 0x1800), seed=st.integers(0, 99))
+    @example(addr=0x1FFFDFF0, length=0x20, seed=0)   # into the row-7 alias
+    @example(addr=0x07FFFFF0, length=0x420, seed=1)  # ITCM over rows 3 and 2
+    @example(addr=BOOT11_ROM_BASE + ROM_SIZE - 8, length=0x10, seed=2)
+    def test_ram_reads_back_and_aborts_at_the_first_unmapped_byte(
+        self, registry, addr, length, seed
+    ):
+        length = min(length, (1 << 32) - addr)
+        data = random.Random(seed).randbytes(length)
+        expected = bytearray()
+        fault = None
+        for pos in range(addr, addr + length):
+            row = row_holding(pos)
+            if row is None:
+                fault = pos
+                break
+            if row.rom:
+                base, label = ROM_BASES[row.rom]
+                expected.append(rom_oracle(b"test-machine", label)[pos - base])
+            else:
+                expected.append(data[pos - addr])
+        machine = Machine(b"test-machine", registry)
+        faults = []
+        for access, arg in ((machine.write_phys, data), (machine.read_phys, length)):
+            try:
+                access(addr, arg)
+                faults.append(None)
+            except bootsim._DataAbort as abort:
+                faults.append(abort.addr)
+        assert faults == [fault, fault]
+        assert mapped_bytes(machine, addr, length) == expected
+
+    def test_zero_length_accesses_touch_nothing(self, machine):
+        assert machine.read_phys(0, 0) == b""
+        machine.write_phys(0x30000000, b"")
+        machine.engage_lock(9)
+        assert machine.read_phys(BOOT9_ROM_BASE + PROTECTED_HALF, 0) == b""
+        assert [e.kind for e in machine.event_log] == ["lock_boot9"]
+
+    def test_locked_rom_overrun_logs_its_violation_before_aborting(self, machine):
+        machine.engage_lock(11)
+        addr = BOOT11_ROM_BASE + ROM_SIZE - 0x10
+        with pytest.raises(bootsim._DataAbort) as info:
+            machine.read_phys(addr, 0x20)
+        assert info.value.addr == BOOT11_ROM_BASE + ROM_SIZE
+        assert [(e.kind, e.addr, e.length) for e in machine.event_log[1:]] == [
+            ("lock_violation", addr, 0x10)
+        ]
 
 
 @functools.cache
@@ -294,6 +425,7 @@ class TestLazyRom:
     def test_locked_reads_derive_no_protected_page(self, derived_pages, machine):
         machine.engage_lock(9)
         machine.read_phys(BOOT9_ROM_BASE + PROTECTED_HALF - 0x10, 0x20)
+        machine.copy_phys(BOOT9_ROM_BASE + PROTECTED_HALF + 0x10, FCRAM, 0x10)
         assert derived_pages == [("boot9-rom", 7)]
 
 
@@ -302,14 +434,20 @@ class TestPagedStore:
 
     def test_copying_untouched_ram_allocates_no_page(self, machine):
         machine.copy_phys(self.FCRAM, self.FCRAM + 0x100000, 0x100000)
-        assert machine.stores["fcram"]._pages == {}
+        assert machine.ram._pages == {}
         assert machine.read_phys(self.FCRAM + 0x100000, 0x100000) == bytes(0x100000)
 
     def test_zeros_still_overwrite_an_existing_page(self, machine):
         machine.write_phys(self.FCRAM, b"\xff" * 0x1800)
         machine.copy_phys(self.FCRAM + 0x10000, self.FCRAM + 0x800, 0x2000)
-        assert sorted(machine.stores["fcram"]._pages) == [0, 1]
+        assert sorted(machine.ram._pages) == [0x20000, 0x20001]
         assert machine.read_phys(self.FCRAM, 0x3000) == b"\xff" * 0x800 + bytes(0x2800)
+
+    def test_an_empty_range_touches_no_page(self, machine):
+        machine.write_phys(self.FCRAM, b"\xff" * 0x20)
+        assert list(machine.ram._present(self.FCRAM + 0x10, 0)) == []
+        assert list(machine._roms[9]._present(PROTECTED_HALF + 0x10, 0)) == []
+        assert machine.ram.snapshot(self.FCRAM + 0x10, 0)._pages == {}
 
     @pytest.mark.parametrize(
         "src, dst, length",
@@ -390,11 +528,7 @@ def mapped_bytes(machine, addr, length):
 
 
 def ram_pages(machine):
-    return {
-        name: {page: bytes(data) for page, data in store._pages.items()}
-        for name, store in machine.stores.items()
-        if not name.endswith("rom")
-    }
+    return {page: bytes(data) for page, data in machine.ram._pages.items()}
 
 
 def dense(addr, length):
@@ -505,23 +639,23 @@ class TestBoundedCopies:
     def test_offmap_record_aborts_before_writing(self, machine):
         src = FCRAM_END - (16 << 20)
         machine.write_phys(src, b"\x5a" * 0x2000)
-        pages = dict(machine.stores["fcram"]._pages)
+        pages = dict(machine.ram._pages)
         events, peak = self.traced_record(machine, src, FCRAM, 32 << 20)
         assert peak < 1 << 20
         assert [(e.kind, e.addr) for e in events] == [
             ("ndma_program", NDMA_WINDOW_BASE), ("data_abort", FCRAM_END)
         ]
         assert machine.aborts == [(FCRAM_END, False)]
-        assert machine.stores["fcram"]._pages == pages
+        assert machine.ram._pages == pages
 
     def test_record_past_the_32_bit_bus_is_malformed(self, machine):
-        pages = dict(machine.stores["fcram"]._pages)
+        pages = dict(machine.ram._pages)
         events, _ = self.traced_record(machine, 0xFFFF7F00, FCRAM, 0x8200)
         assert [(e.kind, e.addr, e.length) for e in events] == [
             ("ndma_program", NDMA_WINDOW_BASE, 16), ("ndma_malformed", NDMA_WINDOW_BASE, 16)
         ]
         assert machine.aborts == []
-        assert machine.stores["fcram"]._pages == pages
+        assert machine.ram._pages == pages
 
 
 def load_section(machine, section, payload):

@@ -196,6 +196,13 @@ class TestImagePipeline:
         )
         assert rc_bad == 1  # unsigned image fails verification
 
+    @pytest.mark.parametrize("fields", ["n=0\ne=3", "n=00\ne=3", "n=1\ne=3", "n=ff\ne=1"])
+    def test_degenerate_key_file_is_a_usage_error(self, workspace, fields, capsys):
+        plain = build_plain_image(workspace)
+        Path("bad.key").write_text(fields + "\n")
+        assert main(["verify", "--image", str(plain), "--key", "bad.key"]) == 2
+        assert "public key values out of range" in capsys.readouterr().err
+
 
 class TestForgeCommand:
     def test_search_writes_artifacts(self, workspace, key_dir):
@@ -217,6 +224,21 @@ class TestForgeCommand:
              "--seed", SEED, "--max-attempts", "1000", "--window", "64:64"]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("window", ["0:5", "9:5"])
+    def test_window_that_cannot_hit_is_a_usage_error(
+        self, workspace, key_dir, monkeypatch, capsys, window
+    ):
+        def refuse_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(forge, "_run_chain", refuse_chain)
+        rc = main(
+            ["forge", "--key-dir", str(key_dir), "--slot", "retail.nand",
+             "--seed", SEED, "--window", window]
+        )
+        assert rc == 2
+        assert "cannot hit" in capsys.readouterr().err
 
     def test_crashed_worker_is_reported(self, workspace, key_dir, monkeypatch, capsys):
         monkeypatch.setattr(forge, "_worker_main", crash_worker)

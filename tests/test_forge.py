@@ -35,6 +35,8 @@ from bootforge.sigparser import (
 )
 
 FLAWED_64 = ParserConfig.flawed(64)
+# Can hit, but a block passes with probability about 2^-49: no test budget finds one.
+UNLIKELY_64 = ParserConfig.flawed(64, window=[64], check_type_bytes=True)
 
 
 def crash_worker(*args):
@@ -175,9 +177,25 @@ class TestBruteForceSearch:
         assert 2 * result.iterations <= result.attempts <= 8_000_000
 
     def test_exhaustion_returns_none(self, key512):
-        empty = ParserConfig.flawed(64, window=[])
-        assert brute_force_search(key512.public, empty, 1, b"s", 10_000) is None
-        assert brute_force_search(key512.public, empty, 2, b"s", 10_000) is None
+        assert brute_force_search(key512.public, UNLIKELY_64, 1, b"s", 10_000) is None
+        assert brute_force_search(key512.public, UNLIKELY_64, 2, b"s", 10_000) is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "config",
+        [ParserConfig.flawed(64, window=[]), ParserConfig.flawed(64, window=range(0, 6))],
+    )
+    def test_config_that_cannot_hit_is_refused_before_any_chain(
+        self, key512, monkeypatch, config, workers
+    ):
+        def refuse(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(forge, "_run_chain", refuse)
+        monkeypatch.setattr(forge, "_worker_main", refuse)
+        with pytest.raises(ValueError, match="cannot hit"):
+            brute_force_search(key512.public, config, workers, b"s", 50_000_000)
+        assert multiprocessing.active_children() == []
 
     def test_crashed_worker_is_an_error_not_exhaustion(self, key512, monkeypatch):
         monkeypatch.setattr(forge, "_worker_main", crash_worker)
@@ -207,9 +225,7 @@ class TestBruteForceSearch:
 
     def test_progress_line_protocol(self, key512):
         out = io.StringIO()
-        brute_force_search(
-            key512.public, ParserConfig.flawed(64, window=[]), 1, b"p", 4_000_000, progress=out
-        )
+        brute_force_search(key512.public, UNLIKELY_64, 1, b"p", 4_000_000, progress=out)
         lines = out.getvalue().splitlines()
         assert lines, "a multi-second run emits progress"
         assert all(re.fullmatch(r"attempts=\d+ rate=\d+ elapsed=\d+\.\d", l) for l in lines)

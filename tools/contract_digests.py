@@ -5,11 +5,11 @@
 Exports the tree of commit REV and the tree staged in the index (after a
 commit, the tree of HEAD), as `tools/bench_pairs.py` does, and refuses to
 start while a tracked file differs from the index.  In each tree it runs,
-with that tree's own bootforge and perfbench, 132 operations, 33 on each
+with that tree's own bootforge and perfbench, 152 operations, 38 on each
 of the benchmark seeds 1, 101, 102 and 103: the ten boots of perfbench's
 `BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy, the
-copy that runs off FCRAM, the nine direct `Machine.copy_phys` cases of
-`COPY_CASES`, the single-worker `search512` and `search2048` searches,
+copy that runs off FCRAM, the fourteen direct `Machine.copy_phys` cases of
+`COPY_CASES` (both trees run this file's list), the single-worker `search512` and `search2048` searches,
 and the `estimate64` and `estimate256` estimates.  For each simulator
 operation it hashes the report JSON, the machine's whole event log, its
 SD store and its NAND store.  Each copy case runs on a fresh machine
@@ -41,7 +41,9 @@ SEEDS = (1, 101, 102, 103)
 
 FCRAM = 0x20000000
 FCRAM_END = 0x28000000  # unmapped from here on
-ARM11_WRAM = 0x1FF80000  # work-RAM row 10 inside I/O row 1; alias row 7 at 0x1FFFE000
+ARM11_WRAM = 0x1FF80000  # work RAM (row 10) ends I/O row 1; row 7 at 0x1FFFE000 lies in it
+DTCM_END = 0xFFF04000  # unmapped from here on
+BOOT11_ROM = 0x00010000
 # (name, src, dst, length, ROM locks engaged first) for the direct copies.
 COPY_CASES = (
     ("dense unaligned", FCRAM + 0x123, FCRAM + 0x10124, 0x2F00, ()),
@@ -53,10 +55,18 @@ COPY_CASES = (
     ("alias", 0x1FFFDC00, 0x1FFFE203, 0x1000, ()),
     ("offmap source tail", FCRAM_END - 0x1800, FCRAM, 0x3000, ()),
     ("offmap destination tail", FCRAM, FCRAM_END - 0x1800, 0x3000, ()),
+    # Row edges inside one mapped span: ITCM into ARM9 RAM over 0x08000000
+    # and row 3's end 0x08000400, work RAM into FCRAM over 0x20000000.
+    ("itcm into arm9", 0x07FFFC00, 0x080003F1, 0x1000, ()),
+    ("work ram into fcram", 0x1FFFF800, 0x1FFFFE05, 0x1000, ()),
+    ("offmap dtcm source tail", DTCM_END - 0x800, FCRAM, 0x1000, ()),
+    ("offmap dtcm destination tail", FCRAM, DTCM_END - 0x800, 0x1000, ()),
+    ("into boot11 rom", FCRAM, BOOT11_ROM + 0x7F00, 0x1000, ()),
 )
 # (addr, length) of the random bytes written before each copy case.
 COPY_PATTERN = ((FCRAM, 0x4000), (ARM11_WRAM - 0x800, 0x1000), (0x1FFFDC00, 0x1000),
-                (FCRAM_END - 0x1800, 0x1800))
+                (FCRAM_END - 0x1800, 0x1800), (0x07FFFC00, 0x1800), (0x1FFFF800, 0x1800),
+                (DTCM_END - 0x800, 0x800))
 
 # Run in a child process inside an exported tree: argv[1] is the tree,
 # argv[2] this directory.
@@ -115,7 +125,7 @@ def copy_records(number: int) -> list[dict]:
 
 
 def tree_records() -> list[dict]:
-    """The 132 operation records of the bootforge and perfbench on sys.path."""
+    """The 152 operation records of the bootforge and perfbench on sys.path."""
     from bootforge.prng import derive_seed
     from corpus import build_corpus
     from ops import BOOT_CYCLE, Ops
