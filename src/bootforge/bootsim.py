@@ -123,6 +123,9 @@ TAG_HOOK11 = b"B11HOOK\x00"       # fields: staging
 TAG_STAGE2_ARM9 = b"STAGE2A9"     # fields: boot9_copy_addr, boot11_copy_addr
 TAG_STAGE2_INSTALL = b"STAGE2IN"  # fields: nand_len, sd_len; then two payloads
 TAG_STAGE2_ARM11 = b"STAGE211"    # no fields
+# Largest payload an installer field may declare: one 4 MiB NAND FIRM
+# partition.  A larger field ends the boot before anything is read.
+INSTALL_FIELD_MAX = 0x400000
 _BLOB_FIELDS = {
     TAG_ABORT_HANDLER: 2,
     TAG_HOOK1: 1,
@@ -784,6 +787,9 @@ class Machine:
             yield from self._chain_load()
         elif tag == TAG_STAGE2_INSTALL:
             nand_len, sd_len = fields
+            if max(nand_len, sd_len) > INSTALL_FIELD_MAX:
+                self._log(9, "install_malformed", entry, max(nand_len, sd_len))
+                raise _BootFailure("installer field exceeds a NAND FIRM partition")
             payload_base = entry + 8 + 8
             # Both reads come first: an abort in either leaves NAND untouched.
             nand_bytes = self.read_phys(payload_base, nand_len, 9)

@@ -145,8 +145,6 @@ def forge_with_private_key(
     key: RsaKeyPair, landing_offset: int, seed: bytes | str
 ) -> ForgeResult:
     """Sign a crafted plaintext with d: a one-attempt exploit signature."""
-    if key.d <= 0:
-        raise ValueError("key has no private exponent")
     start = time.perf_counter()
     filler = seed
     for retry in range(64):

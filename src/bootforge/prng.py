@@ -10,6 +10,13 @@ store reads it by page, on first use.  Sub-streams are derived by
 hashing a label into a fresh seed, which keeps independent consumers
 (key generation, block filler, simulator ROM contents, search workers)
 from sharing state.
+
+`stream_blocks` hashes the seed once and derives each block from a copy
+of that keyed state, updated with the block's 8-byte counter.  SHA-256
+is a streaming hash, so the copy updated with be64(i) digests exactly
+the bytes seed || be64(i).  The counters of the first `TABLE_BLOCKS`
+blocks, enough for a 64 KiB boot ROM, come from a table built at
+import; blocks past it (long key-generation streams) encode their own.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import hashlib
 __all__ = ["ByteStream", "derive_seed", "parse_seed", "stream_blocks"]
 
 BLOCK_SIZE = 32  # one SHA-256 digest
+TABLE_BLOCKS = 0x10000 // BLOCK_SIZE  # one 64 KiB ROM
+_COUNTERS = [i.to_bytes(8, "big") for i in range(TABLE_BLOCKS)]
 
 
 def parse_seed(seed: bytes | str) -> bytes:
@@ -42,8 +51,17 @@ def derive_seed(seed: bytes | str, *labels: str | int) -> bytes:
 
 def stream_blocks(seed: bytes, first: int, stop: int) -> bytes:
     """Blocks first..stop-1 of the stream keyed by `seed`, joined."""
-    sha256 = hashlib.sha256
-    return b"".join([sha256(seed + i.to_bytes(8, "big")).digest() for i in range(first, stop)])
+    if stop <= TABLE_BLOCKS:
+        counters = _COUNTERS[first:stop]
+    else:
+        counters = [i.to_bytes(8, "big") for i in range(first, stop)]
+    copy = hashlib.sha256(seed).copy
+    blocks = []
+    for counter in counters:
+        block = copy()
+        block.update(counter)
+        blocks.append(block.digest())
+    return b"".join(blocks)
 
 
 class ByteStream:

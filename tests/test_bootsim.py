@@ -829,6 +829,61 @@ class TestExploitChain:
         assert outputs[0] == outputs[1]
 
 
+class TestBoundedInstaller:
+    """An installer blob's NAND and SD lengths are capped at one FIRM partition."""
+
+    @staticmethod
+    def hostile_cart(slot_keys, nand_len, sd_len):
+        """A 528-byte fakesigned cartridge image: one section puts an
+        installer blob in FCRAM, and the ARM9 entry points at it."""
+        cart_key = slot_keys[(Console.RETAIL, SignatureType.NON_NAND_BOOT)]
+        sig = forge_with_private_key(cart_key, cart_key.block_length, b"hostile-cart")
+        image = build_firm(
+            [(FCRAM, CopyMethod.CPU_MEMCPY,
+              bootsim._blob(bootsim.TAG_STAGE2_INSTALL, nand_len, sd_len))],
+            arm9_entry=FCRAM,
+            arm11_entry=FCRAM,
+        )
+        data = serialize(fakesign_firm(image, sig.signature_bytes()))
+        assert len(data) == 528
+        return data
+
+    @staticmethod
+    def boot_cart(machine, data):
+        machine.inputs = BootInputs(
+            keys_held=NTR_BOOT_COMBO, shell_closed=True, ntr_cart_present=True
+        )
+        tracemalloc.start()
+        try:
+            report = run_boot(machine, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return report, peak
+
+    @pytest.mark.parametrize(
+        "nand_len, sd_len",
+        [(16 << 20, 16 << 20), (bootsim.INSTALL_FIELD_MAX + 1, 0),
+         (0, bootsim.INSTALL_FIELD_MAX + 1), (0xFFFFFFFF, 0xFFFFFFFF)],
+    )
+    def test_oversized_field_fails_before_reading(self, machine, slot_keys, nand_len, sd_len):
+        report, peak = self.boot_cart(machine, self.hostile_cart(slot_keys, nand_len, sd_len))
+        assert report.outcome is BootOutcome.FAILURE
+        assert peak < 8 << 20
+        assert machine.nand_store == b"" and machine.sd_store == {}
+        last = report.events[-1]
+        assert (last.proc, last.kind, last.addr, last.length) == (
+            9, "install_malformed", FCRAM, max(nand_len, sd_len)
+        )
+
+    def test_fields_at_the_cap_install(self, machine, slot_keys):
+        cap = bootsim.INSTALL_FIELD_MAX
+        report, _ = self.boot_cart(machine, self.hostile_cart(slot_keys, cap, 0x10))
+        assert report.outcome is BootOutcome.SHUTDOWN
+        assert len(machine.nand_store) == cap
+        assert len(machine.sd_store[bootsim.SD_CHAIN_NAME]) == 0x10
+
+
 class TestNtrScenario:
     def test_install_and_follow_up_boot(self, machine, slot_keys):
         report = run_ntr_install_scenario(machine, build_flashcart(slot_keys))

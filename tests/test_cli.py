@@ -204,6 +204,23 @@ class TestImagePipeline:
         assert "public key values out of range" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["sign", "exploit"])
+    def test_private_key_that_cannot_sign_is_a_usage_error(
+        self, workspace, key_dir, command, capsys
+    ):
+        key_file = key_dir / "retail.nand.key"
+        key = modmath.read_key_file(key_file)
+        modmath.write_key_file(key_file, modmath.RsaKeyPair(key.n, key.e, key.d + 2))
+        if command == "sign":
+            argv = ["sign", "--key", str(key_file), "--image", str(build_plain_image(workspace)),
+                    "--out", "signed.firm"]
+        else:
+            argv = ["exploit", "--key-dir", str(key_dir), "--seed", SEED, "--dump-keys"]
+        assert main(argv) == 2
+        assert "private exponent does not invert e" in capsys.readouterr().err
+        assert not Path("signed.firm").exists()
+
+
 class TestForgeCommand:
     def test_search_writes_artifacts(self, workspace, key_dir):
         rc = main(

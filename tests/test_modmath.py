@@ -9,6 +9,7 @@ from bootforge import modmath
 from bootforge.modmath import (
     Console,
     KeyRegistry,
+    RsaKeyPair,
     SignatureType,
     from_fixed_bytes,
     generate_keypair,
@@ -245,6 +246,85 @@ def test_raw_sign_fixed_points(key512):
     assert raw_sign(1, key512) == 1
     # d is odd, so (-1)^d = -1.
     assert raw_sign(key512.n - 1, key512) == key512.n - 1
+
+
+CRT_KEY_NAMES = ["64", "256-e3", "512", "512-alt", "2048"]
+
+
+@pytest.fixture(scope="module")
+def crt_keys(key512, key512_alt):
+    """Generated keys, which carry their factors, each paired with the same
+    (n, e, d) built bare, which recovers them when it first signs."""
+    keys = {
+        "64": generate_keypair(64, b"crt 64"),
+        "256-e3": generate_keypair(256, b"e3 seed", exponent=3),
+        "512": key512,
+        "512-alt": key512_alt,
+        "2048": generate_keypair(2048, b"pin 2048"),
+    }
+    return {name: (key, RsaKeyPair(key.n, key.e, key.d)) for name, key in keys.items()}
+
+
+@pytest.mark.parametrize("name", CRT_KEY_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_crt_sign_is_the_full_modexp(crt_keys, name, data):
+    key, bare = crt_keys[name]
+    p, q = key._crt.p, key._crt.q
+    m = data.draw(
+        st.one_of(
+            st.sampled_from([0, 1, key.n - 1, p, q]),
+            st.integers(1, q - 1).map(lambda k: k * p),
+            st.integers(1, p - 1).map(lambda k: k * q),
+            st.integers(0, key.n - 1),
+        )
+    )
+    assert raw_sign(m, key) == raw_sign(m, bare) == pow(m, key.d, key.n)
+
+
+@pytest.mark.parametrize("name", CRT_KEY_NAMES)
+def test_key_file_factors_are_the_generated_ones(tmp_path, crt_keys, name):
+    key, _ = crt_keys[name]
+    half = key.bit_length // 2
+    # generate_keypair forces each prime's top bit.
+    assert key._crt.p * key._crt.q == key.n
+    assert key._crt.p.bit_length() == key._crt.q.bit_length() == half
+    path = tmp_path / "k.key"
+    write_key_file(path, key)
+    loaded = read_key_file(path)
+    assert loaded._crt is None  # recovered only when the key first signs
+    raw_sign(2, loaded)
+    recovered = loaded._crt
+    assert {recovered.p, recovered.q} == {key._crt.p, key._crt.q}
+    raw_sign(3, loaded)
+    assert loaded._crt is recovered  # at most once per key object
+    assert loaded == key and hash(loaded) == hash(key) and repr(loaded) == repr(key)
+
+
+@pytest.mark.parametrize(
+    "bad_d",
+    [
+        lambda key: 0,
+        lambda key: 1,
+        lambda key: key.d + 1,
+        lambda key: key.d + 2,
+        lambda key: key.n - key.d,
+    ],
+    ids=["zero", "one", "d+1", "d+2", "n-d"],
+)
+@pytest.mark.parametrize("m", [0, 1, 5, -1])
+def test_raw_sign_refuses_a_private_exponent_that_cannot_sign(key512, bad_d, m):
+    key = RsaKeyPair(key512.n, key512.e, bad_d(key512))
+    with pytest.raises(ValueError):
+        raw_sign(m % key.n, key)
+
+
+def test_raw_sign_checks_the_crt_result(key512):
+    p, q, dp, dq, q_inv = key512._crt
+    bad = RsaKeyPair(key512.n, key512.e, key512.d)
+    object.__setattr__(bad, "_crt", modmath._CrtKey(p, q, dp + 1, dq, q_inv))
+    with pytest.raises(ValueError, match="s\\*\\*e"):
+        raw_sign(12345, bad)
 
 
 def test_raw_sign_verify_roundtrip(key512):

@@ -5,17 +5,24 @@
 Exports the tree of commit REV and the tree staged in the index (after a
 commit, the tree of HEAD), as `tools/bench_pairs.py` does, and refuses to
 start while a tracked file differs from the index.  In each tree it runs,
-with that tree's own bootforge and perfbench, 152 operations, 38 on each
+with that tree's own bootforge and perfbench, 176 operations, 44 on each
 of the benchmark seeds 1, 101, 102 and 103: the ten boots of perfbench's
 `BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy, the
 copy that runs off FCRAM, the fourteen direct `Machine.copy_phys` cases of
-`COPY_CASES` (both trees run this file's list), the single-worker `search512` and `search2048` searches,
-and the `estimate64` and `estimate256` estimates.  For each simulator
+`COPY_CASES` (both trees run this file's list), the five `raw_sign` cases
+of `SIGN_KEYS`, one read of both full boot ROMs, the single-worker
+`search512` and `search2048` searches, and the `estimate64` and
+`estimate256` estimates.  For each simulator
 operation it hashes the report JSON, the machine's whole event log, its
 SD store and its NAND store.  Each copy case runs on a fresh machine
 whose RAM holds a written pattern; it hashes the event log, the
 `exfiltrated` captures and the bytes read back over the source and
-destination ranges, and records the data-abort address, if any.  For
+destination ranges, and records the data-abort address, if any.  Each
+sign case signs 0, 1, n - 1 and eight seeded messages twice, with the
+generated key and with the same (n, e, d) built bare, as a key file
+builds it; it hashes the signatures and checks each by s**e = m.  The
+ROM read hashes both 64 KiB ROMs of a machine seeded from the seed and
+checks them against SHA-256(seed || be64(i)) computed here.  For
 each search it hashes the result's signature, plaintext, landing offset,
 attempts, iterations, negated flag and root, but not its elapsed time.
 For each estimate it records the hit count.  It notes whether perfbench's own check passed
@@ -62,6 +69,14 @@ COPY_CASES = (
     ("offmap dtcm source tail", DTCM_END - 0x800, FCRAM, 0x1000, ()),
     ("offmap dtcm destination tail", FCRAM, DTCM_END - 0x800, 0x1000, ()),
     ("into boot11 rom", FCRAM, BOOT11_ROM + 0x7F00, 0x1000, ()),
+)
+# (bits, keygen seed, exponent) of the keys the sign cases use.
+SIGN_KEYS = (
+    (64, b"contract sign 64", 65537),
+    (256, b"contract sign 256", 3),
+    (512, b"contract sign 512", 65537),
+    (1024, b"contract sign 1024", 65537),
+    (2048, b"contract sign 2048", 65537),
 )
 # (addr, length) of the random bytes written before each copy case.
 COPY_PATTERN = ((FCRAM, 0x4000), (ARM11_WRAM - 0x800, 0x1000), (0x1FFFDC00, 0x1000),
@@ -124,8 +139,46 @@ def copy_records(number: int) -> list[dict]:
     return records
 
 
+def sign_records(number: int, keys: list) -> list[dict]:
+    """One record per `SIGN_KEYS` key, signing messages seeded from `number`."""
+    from bootforge.modmath import RsaKeyPair, raw_sign
+
+    records = []
+    for key in keys:
+        rng = random.Random(f"{number} sign {key.bit_length}")
+        messages = [0, 1, key.n - 1] + [rng.randrange(key.n) for _ in range(8)]
+        bare = RsaKeyPair(key.n, key.e, key.d)
+        signatures = [raw_sign(m, signer) for signer in (key, bare) for m in messages]
+        records.append({
+            "op": f"seed {number} sign {key.bit_length}b e={key.e}",
+            "ok": [pow(s, key.e, key.n) for s in signatures] == messages * 2,
+            "signatures": _sha(" ".join(f"{s:x}" for s in signatures).encode()),
+        })
+    return records
+
+
+def rom_record(number: int) -> dict:
+    """Both full ROMs of one machine, checked against SHA-256(seed || be64(i))."""
+    from bootforge.bootsim import Machine
+    from bootforge.modmath import KeyRegistry
+    from bootforge.prng import derive_seed
+
+    seed = f"contract-rom-{number}".encode()
+    machine = Machine(seed, KeyRegistry())
+    roms = {"boot9": machine.boot9_rom, "boot11": machine.boot11_rom}
+    expected = {}
+    for name in roms:
+        rom_seed = derive_seed(derive_seed(seed, "machine"), f"{name}-rom")
+        expected[name] = b"".join(
+            hashlib.sha256(rom_seed + i.to_bytes(8, "big")).digest() for i in range(0x800)
+        )
+    return {"op": f"seed {number} roms", "ok": roms == expected,
+            **{name: _sha(rom) for name, rom in roms.items()}}
+
+
 def tree_records() -> list[dict]:
-    """The 152 operation records of the bootforge and perfbench on sys.path."""
+    """The 176 operation records of the bootforge and perfbench on sys.path."""
+    from bootforge.modmath import generate_keypair
     from bootforge.prng import derive_seed
     from corpus import build_corpus
     from ops import BOOT_CYCLE, Ops
@@ -149,6 +202,7 @@ def tree_records() -> list[dict]:
 
     tracer = Tracer(enabled=False)
     corpus = build_corpus(tracer)
+    sign_keys = [generate_keypair(*spec) for spec in SIGN_KEYS]
     records = []
     for number in SEEDS:
         # The workload seed as perfbench/harness.py derives it.
@@ -173,6 +227,8 @@ def tree_records() -> list[dict]:
                 "nand_store": _sha(machine.nand_store),
             })
         records += copy_records(number)
+        records += sign_records(number, sign_keys)
+        records.append(rom_record(number))
         for leg in ("search512", "search2048"):
             ops.found = None
             ok = ops.search(0, leg, 1).ok
