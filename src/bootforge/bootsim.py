@@ -288,16 +288,13 @@ def _span(addr: int) -> tuple[int, int, int]:
     raise _DataAbort(addr)
 
 
-class _BootFailure(Exception):
-    """Checked boot error: the blue-screen analog."""
+class _BootEnd(Exception):
+    """The end of a boot before or instead of its entry; `outcome` is what
+    the console shows.  `Machine._end` builds it after logging the cause."""
 
-
-class _BootHalt(Exception):
-    """Unrecoverable condition: the black-screen analog."""
-
-
-class _PowerOff(Exception):
-    """Stage 2 powered the console off: the deliberate end of a boot."""
+    def __init__(self, outcome: BootOutcome):
+        super().__init__(outcome.value)
+        self.outcome = outcome
 
 
 _WAITING = object()  # what a script yields for a turn spent on a failed poll
@@ -538,6 +535,12 @@ class Machine:
         self._step += 1
         self.event_log.append(Event(self._step, proc, kind, addr, length))
 
+    def _end(self, outcome: BootOutcome, kind: str, addr: int = 0, length: int = 0) -> _BootEnd:
+        """Log ARM9 event `kind`, the cause, and return the `_BootEnd` that
+        ends the boot with `outcome`, for the caller to raise."""
+        self._log(9, kind, addr, length)
+        return _BootEnd(outcome)
+
     def _source(self, addr: int, count: int, proc: int) -> tuple[_PagedStore, int]:
         """The store and offset that a read of [addr, addr+count) reads,
         with a locked ROM's protected half cut off as a snapshot and logged
@@ -607,7 +610,7 @@ class Machine:
         pages stored in the source or the destination range are touched.
         """
         if length <= 0:
-            raise _BootFailure("zero-length copy request")
+            raise _BootEnd(BootOutcome.FAILURE)
         if src <= 0 < src + length or dst <= 0 < dst + length:
             raise _DataAbort(0)
         store, offset = self._source(src, length, proc)
@@ -629,12 +632,11 @@ class Machine:
     # -- section loading and the DMA window ---------------------------------
 
     def _run_ndma_program(self, dst: int, payload: bytes) -> None:
-        if dst + len(payload) > NDMA_WINDOW_BASE + NDMA_WINDOW_SIZE:
-            self._log(9, "ndma_malformed", dst, len(payload))
-            raise _BootFailure("NDMA program exceeds the register window")
-        if len(payload) % NDMA_RECORD_SIZE != 0:
-            self._log(9, "ndma_malformed", dst, len(payload))
-            raise _BootFailure("NDMA program is not whole records")
+        if (
+            dst + len(payload) > NDMA_WINDOW_BASE + NDMA_WINDOW_SIZE
+            or len(payload) % NDMA_RECORD_SIZE
+        ):
+            raise self._end(BootOutcome.FAILURE, "ndma_malformed", dst, len(payload))
         self._log(9, "ndma_program", dst, len(payload))
         for pos in range(0, len(payload), NDMA_RECORD_SIZE):
             request = NdmaRequest.unpack(payload[pos : pos + NDMA_RECORD_SIZE])
@@ -643,26 +645,22 @@ class Machine:
                 or request.length == 0
                 or max(request.src, request.dst) + request.length > 1 << 32
             ):
-                self._log(9, "ndma_malformed", dst + pos, NDMA_RECORD_SIZE)
-                raise _BootFailure("bad NDMA request record")
+                raise self._end(BootOutcome.FAILURE, "ndma_malformed", dst + pos, NDMA_RECORD_SIZE)
             self.copy_phys(request.src, request.dst, request.length)
 
     def load_section(self, section: SectionHeader, payload: bytes) -> None:
         """Copy one firmware section to its physical address, as ARM9 code.
 
-        Raises _BootFailure on a blacklist refusal and _DataAbort when
+        Ends the boot on a blacklist refusal and raises _DataAbort when
         the copy touches NULL or unmapped space; callers route aborts
         through the data-abort vector.
         """
         dst = section.phys_addr
         if not check_blacklist(dst, section.size, self.policy):
-            self._log(9, "blacklist_reject", dst, section.size)
-            raise _BootFailure(f"section destination {dst:#x} is blacklisted")
+            raise self._end(BootOutcome.FAILURE, "blacklist_reject", dst, section.size)
         if _NDMA_WINDOW.overlaps(dst, section.size):
             self._run_ndma_program(dst, payload)
             return
-        if dst <= 0 < dst + section.size:
-            raise _DataAbort(0)
         self.write_phys(dst, payload)
         self._log(9, "copy", dst, section.size)
 
@@ -682,15 +680,10 @@ class Machine:
     def _dispatch_abort(self, fault_addr: int) -> None:
         """Route an ARM9 data abort through the current vector."""
         self._log(9, "data_abort", fault_addr)
-        vector = self.read_u32(DATA_ABORT_VECTOR9)
-        if vector == 0:
-            self.aborts.append((fault_addr, False))
-            raise _BootHalt(f"unhandled data abort at {fault_addr:#x}")
-        tag, fields = self._read_blob(vector)
-        if tag != TAG_ABORT_HANDLER:
-            self.aborts.append((fault_addr, False))
-            raise _BootHalt("data-abort vector points at garbage")
-        self.aborts.append((fault_addr, True))
+        tag, fields = self._read_blob(self.read_u32(DATA_ABORT_VECTOR9))
+        self.aborts.append((fault_addr, tag == TAG_ABORT_HANDLER))
+        if tag != TAG_ABORT_HANDLER:  # NULL, unmapped or garbage
+            raise _BootEnd(BootOutcome.HALT)
         hook_a, hook_b = fields
         self.write_u32(BOOT9_FPTR_A, hook_a)
         self.write_u32(BOOT9_FPTR_B, hook_b)
@@ -716,7 +709,7 @@ class Machine:
         `mark` records that ARM9's first hook is done, which releases ARM11.
         """
         target = self.read_u32(cell)
-        tag, fields = self._read_blob(target) if target else (b"", [])
+        tag, fields = self._read_blob(target)
         if tag == TAG_HOOK1:
             self._log(proc, "hook1_run", target)
             yield
@@ -782,14 +775,15 @@ class Machine:
                 self.sd_store[name] = self.read_phys(src, PROTECTED_HALF, 9)
                 self._log(9, "sd_write", src, PROTECTED_HALF)
             yield
-            self._power_off()
+            raise self._end(BootOutcome.SHUTDOWN, "power_off")
         elif tag == TAG_STAGE2_ARM9:
             yield from self._chain_load()
         elif tag == TAG_STAGE2_INSTALL:
             nand_len, sd_len = fields
             if max(nand_len, sd_len) > INSTALL_FIELD_MAX:
-                self._log(9, "install_malformed", entry, max(nand_len, sd_len))
-                raise _BootFailure("installer field exceeds a NAND FIRM partition")
+                raise self._end(
+                    BootOutcome.FAILURE, "install_malformed", entry, max(nand_len, sd_len)
+                )
             payload_base = entry + 8 + 8
             # Both reads come first: an abort in either leaves NAND untouched.
             nand_bytes = self.read_phys(payload_base, nand_len, 9)
@@ -799,18 +793,16 @@ class Machine:
             self._log(9, "nand_install", 0, nand_len)
             self._log(9, "sd_write", 0, sd_len)
             yield
-            self._power_off()
+            raise self._end(BootOutcome.SHUTDOWN, "power_off")
 
     def _chain_load(self):
         content = self.sd_store.get(SD_CHAIN_NAME)
         if content is None:
-            self._log(9, "chain_missing")
-            raise _BootFailure("no second-stage image on the SD card")
+            raise self._end(BootOutcome.FAILURE, "chain_missing")
         try:
             second = firmmod.parse(content)
         except FirmParseError as exc:
-            self._log(9, "chain_parse_error")
-            raise _BootFailure(str(exc)) from exc
+            raise self._end(BootOutcome.FAILURE, "chain_parse_error") from exc
         self._log(9, "chain_load", 0, len(content))
         for sec, payload in zip(second.sections, second.payloads):
             if sec.used:
@@ -843,10 +835,6 @@ class Machine:
         self._log(11, "entry", entry)
         yield
 
-    def _power_off(self) -> None:
-        self._log(9, "power_off")
-        raise _PowerOff
-
     def _run_scheduler(self, arm9, arm11) -> None:
         """Run the two scripts in strict alternation, ARM9 first.
 
@@ -861,8 +849,7 @@ class Machine:
             if not any(scripts):
                 return
             if idle == 2:
-                self._log(9, "watchdog")
-                raise _BootHalt("no processor can make progress")
+                raise self._end(BootOutcome.HALT, "watchdog")
             idle += 1
             if scripts[cpu] is None:
                 continue
@@ -884,14 +871,12 @@ class Machine:
             self._log(9, f"boot_source_{source.value}")
             raw = self.cart_store if source is BootSource.NTR_CART else self.nand_store
             if len(raw) < firmmod.HEADER_LENGTH:
-                self._log(9, "header_read_failed", 0, len(raw))
-                raise _BootFailure("no bootable image on the selected source")
+                raise self._end(BootOutcome.FAILURE, "header_read_failed", 0, len(raw))
             self._log(9, "header_read", 0, firmmod.HEADER_LENGTH)
             try:
                 image = firmmod.parse(raw)
             except FirmParseError as exc:
-                self._log(9, "image_parse_error", exc.offset)
-                raise _BootFailure(str(exc)) from exc
+                raise self._end(BootOutcome.FAILURE, "image_parse_error", exc.offset) from exc
 
             sig_type = (
                 SignatureType.NAND_BOOT
@@ -910,9 +895,9 @@ class Machine:
                 # The parser dereferenced unmodeled stack: an abort inside
                 # the verifier itself, before any handler could exist.
                 self.aborts.append((verdict.landing_offset or 0, False))
-                raise _BootHalt("signature parser walked off the modeled stack")
+                raise _BootEnd(BootOutcome.HALT)
             if not validation.accepted:
-                raise _BootFailure("signature or section digest check failed")
+                raise _BootEnd(BootOutcome.FAILURE)
 
             for idx, (section, payload) in enumerate(zip(image.sections, image.payloads)):
                 if not section.used:
@@ -928,15 +913,11 @@ class Machine:
                 self._arm9_script(image.arm9_entry), self._arm11_script(image.arm11_entry)
             )
             outcome = BootOutcome.REACHED_ENTRY
-        except _PowerOff:
-            outcome = BootOutcome.SHUTDOWN
-        except _BootFailure:
-            outcome = BootOutcome.FAILURE
+        except _BootEnd as end:
+            outcome = end.outcome
         except _DataAbort as abort:
             self.aborts.append((abort.addr, False))
             self._log(9, "data_abort", abort.addr)
-            outcome = BootOutcome.HALT
-        except _BootHalt:
             outcome = BootOutcome.HALT
 
         report = BootReport(

@@ -487,7 +487,7 @@ copy_addresses = st.builds(
 def oracle_copy(machine, src, dst, length, proc=9):
     """The read-whole-then-write `copy_phys` that the streaming one replaced."""
     if length <= 0:
-        raise bootsim._BootFailure("zero-length copy request")
+        raise bootsim._BootEnd(bootsim.BootOutcome.FAILURE)
     if src <= 0 < src + length or dst <= 0 < dst + length:
         raise bootsim._DataAbort(0)
     data = machine.read_phys(src, length, proc)
@@ -664,9 +664,9 @@ def load_section(machine, section, payload):
     try:
         machine.load_section(section, payload)
     except bootsim._DataAbort as abort:
-        with contextlib.suppress(bootsim._BootHalt):
+        with contextlib.suppress(bootsim._BootEnd):
             machine._dispatch_abort(abort.addr)
-    except bootsim._BootFailure:
+    except bootsim._BootEnd:
         pass
     return machine.event_log[start:]
 
