@@ -36,6 +36,16 @@ and destination blacklisting is a pluggable policy: the shipped flaw
 blacklists only the boot-ROM data row, the hardened variant also
 refuses I/O registers, the exception-vector page, and the ROMs.
 
+A boot either reaches its entry or ends early in one of three ways, its
+`BootOutcome`: FAILURE for a checked error (the blue screen), HALT for an
+unhandled abort or a stall (the black screen), and SHUTDOWN when stage 2
+powers the console off.  Every early end is raised through
+`Machine._end`, which logs its cause as one ARM9 event first, so a failed
+boot's last event says why: `sig_rejected`, `section_digest_mismatch`
+(the section index as addr), `abort_unhandled` (the vector as addr),
+`watchdog`, and so on.  A data abort that no handler catches logs
+`data_abort` and ends in HALT as well.
+
 Everything is a pure function of the construction seed, the image bytes
 and the declared inputs; event logs and reports are byte-reproducible.
 All multi-byte values in simulated memory are little-endian.
@@ -610,7 +620,7 @@ class Machine:
         pages stored in the source or the destination range are touched.
         """
         if length <= 0:
-            raise _BootEnd(BootOutcome.FAILURE)
+            raise self._end(BootOutcome.FAILURE, "copy_zero_length", dst, length)
         if src <= 0 < src + length or dst <= 0 < dst + length:
             raise _DataAbort(0)
         store, offset = self._source(src, length, proc)
@@ -680,10 +690,11 @@ class Machine:
     def _dispatch_abort(self, fault_addr: int) -> None:
         """Route an ARM9 data abort through the current vector."""
         self._log(9, "data_abort", fault_addr)
-        tag, fields = self._read_blob(self.read_u32(DATA_ABORT_VECTOR9))
+        vector = self.read_u32(DATA_ABORT_VECTOR9)
+        tag, fields = self._read_blob(vector)
         self.aborts.append((fault_addr, tag == TAG_ABORT_HANDLER))
         if tag != TAG_ABORT_HANDLER:  # NULL, unmapped or garbage
-            raise _BootEnd(BootOutcome.HALT)
+            raise self._end(BootOutcome.HALT, "abort_unhandled", vector)
         hook_a, hook_b = fields
         self.write_u32(BOOT9_FPTR_A, hook_a)
         self.write_u32(BOOT9_FPTR_B, hook_b)
@@ -894,10 +905,15 @@ class Machine:
             if verdict.verdict is Verdict.OUT_OF_BOUNDS:
                 # The parser dereferenced unmodeled stack: an abort inside
                 # the verifier itself, before any handler could exist.
-                self.aborts.append((verdict.landing_offset or 0, False))
-                raise _BootEnd(BootOutcome.HALT)
+                landing = verdict.landing_offset or 0
+                self.aborts.append((landing, False))
+                raise self._end(BootOutcome.HALT, "sig_out_of_bounds", landing)
+            if not verdict.is_accept:
+                raise self._end(BootOutcome.FAILURE, "sig_rejected")
             if not validation.accepted:
-                raise _BootEnd(BootOutcome.FAILURE)
+                raise self._end(
+                    BootOutcome.FAILURE, "section_digest_mismatch", validation.first_bad_section
+                )
 
             for idx, (section, payload) in enumerate(zip(image.sections, image.payloads)):
                 if not section.used:

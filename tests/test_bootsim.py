@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -487,7 +488,7 @@ copy_addresses = st.builds(
 def oracle_copy(machine, src, dst, length, proc=9):
     """The read-whole-then-write `copy_phys` that the streaming one replaced."""
     if length <= 0:
-        raise bootsim._BootEnd(bootsim.BootOutcome.FAILURE)
+        raise machine._end(BootOutcome.FAILURE, "copy_zero_length", dst, length)
     if src <= 0 < src + length or dst <= 0 < dst + length:
         raise bootsim._DataAbort(0)
     data = machine.read_phys(src, length, proc)
@@ -643,7 +644,8 @@ class TestBoundedCopies:
         events, peak = self.traced_record(machine, src, FCRAM, 32 << 20)
         assert peak < 1 << 20
         assert [(e.kind, e.addr) for e in events] == [
-            ("ndma_program", NDMA_WINDOW_BASE), ("data_abort", FCRAM_END)
+            ("ndma_program", NDMA_WINDOW_BASE), ("data_abort", FCRAM_END),
+            ("abort_unhandled", 0),
         ]
         assert machine.aborts == [(FCRAM_END, False)]
         assert machine.ram._pages == pages
@@ -882,6 +884,74 @@ class TestBoundedInstaller:
         assert report.outcome is BootOutcome.SHUTDOWN
         assert len(machine.nand_store) == cap
         assert len(machine.sd_store[bootsim.SD_CHAIN_NAME]) == 0x10
+
+
+def with_payload_byte_flipped(image, index):
+    """`image` with the last byte of section `index` flipped after signing."""
+    payloads = list(image.payloads)
+    payloads[index] = payloads[index][:-1] + bytes([payloads[index][-1] ^ 1])
+    return replace(image, payloads=tuple(payloads))
+
+
+def vector_at_hook1(entries):
+    """The DMA request installs the first hook's blob as the abort vector."""
+    addr, method, payload = entries[1]
+    vector = (addr + 0x40).to_bytes(4, "little")
+    entries[1] = (addr, method, payload[:0x30] + vector + payload[0x34:])
+    return entries
+
+
+# (policy, image built from the NAND key and signature, outcome, cause, cause addr)
+BOOT_CAUSES = {
+    "garbage signature": (
+        BlacklistPolicy.BOOT9_DATA_ONLY,
+        lambda key, sig: fakesign_firm(honest_image(key), b"\x5a" * 64),
+        BootOutcome.FAILURE, "sig_rejected", 0,
+    ),
+    "off-stack landing": (
+        BlacklistPolicy.BOOT9_DATA_ONLY,
+        lambda key, sig: fakesign_firm(
+            honest_image(key), forge_with_private_key(key, 64 + 0x50, b"oob-sig").signature_bytes()
+        ),
+        BootOutcome.HALT, "sig_out_of_bounds", 64 + 0x50,
+    ),
+    "tampered section": (
+        BlacklistPolicy.BOOT9_DATA_ONLY,
+        lambda key, sig: with_payload_byte_flipped(build_exploit_image(sig), 2),
+        BootOutcome.FAILURE, "section_digest_mismatch", 2,
+    ),
+    "null load without handler": (
+        BlacklistPolicy.BOOT9_DATA_ONLY,
+        lambda key, sig: restaged(sig, lambda entries: [*entries[:2], entries[3]]),
+        BootOutcome.HALT, "abort_unhandled", 0,
+    ),
+    "vector at a non-handler blob": (
+        BlacklistPolicy.BOOT9_DATA_ONLY,
+        lambda key, sig: restaged(sig, vector_at_hook1),
+        BootOutcome.HALT, "abort_unhandled", bootsim.ARM9_SAFE_AREA + 0x40,
+    ),
+    "hardened blacklist": (
+        BlacklistPolicy.HARDENED,
+        lambda key, sig: build_exploit_image(sig),
+        BootOutcome.FAILURE, "blacklist_reject", NDMA_WINDOW_BASE,
+    ),
+    "watchdog stall": (
+        BlacklistPolicy.BOOT9_DATA_ONLY,
+        lambda key, sig: without_arm11_section(sig),
+        BootOutcome.HALT, "watchdog", 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOT_CAUSES))
+def test_failed_boot_ends_with_its_cause(registry, nand_key, nand_sig, name):
+    policy, build, outcome, cause, addr = BOOT_CAUSES[name]
+    machine = Machine(b"test-machine", registry, policy=policy)
+    report = run_exploit_chain(machine, build(nand_key, nand_sig), keys_held=DUMP_COMBO)
+    assert report.outcome is outcome
+    last = report.events[-1]
+    assert (last.proc, last.kind, last.addr) == (9, cause, addr)
+    assert [e.kind for e in report.events].count(cause) == 1
 
 
 class TestNtrScenario:
