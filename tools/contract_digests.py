@@ -26,9 +26,10 @@ checks them against SHA-256(seed || be64(i)) computed here.  For
 each search it hashes the result's signature, plaintext, landing offset,
 attempts, iterations, negated flag and root, but not its elapsed time.
 For each estimate it records the hit count.  It notes whether perfbench's own check passed
-(on seed 1 that check includes the pinned `GOLDEN` digests), prints the
-first operation whose record differs between the two trees, and exits 1
-on any difference or any failed operation.
+(on seed 1 that check includes the pinned `GOLDEN` digests), prints
+every operation whose record differs between the two trees with the
+fields that differ, and exits 1 on any difference or any failed
+operation.
 """
 
 from __future__ import annotations
@@ -276,8 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     for p, c in zip(parent, change):
         if p != c:
             parts = [key for key in p if p[key] != c.get(key)]
-            print(f"first difference: {p['op']} ({', '.join(parts)})")
-            break
+            print(f"differs: {p['op']} ({', '.join(parts)})")
     ok = len(parent) == len(change) and same == len(parent) and not any(failed.values())
     return 0 if ok else 1
 
