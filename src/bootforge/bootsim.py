@@ -36,15 +36,13 @@ and destination blacklisting is a pluggable policy: the shipped flaw
 blacklists only the boot-ROM data row, the hardened variant also
 refuses I/O registers, the exception-vector page, and the ROMs.
 
-A boot either reaches its entry or ends early in one of three ways, its
-`BootOutcome`: FAILURE for a checked error (the blue screen), HALT for an
-unhandled abort or a stall (the black screen), and SHUTDOWN when stage 2
-powers the console off.  Every early end is raised through
-`Machine._end`, which logs its cause as one ARM9 event first, so a failed
-boot's last event says why: `sig_rejected`, `section_digest_mismatch`
-(the section index as addr), `abort_unhandled` (the vector as addr),
-`watchdog`, and so on.  A data abort that no handler catches logs
-`data_abort` and ends in HALT as well.
+A boot reaches its entry or ends early as a `BootOutcome`: FAILURE for a
+checked error (blue screen), HALT for an unhandled abort or a stall
+(black screen), SHUTDOWN when stage 2 powers off.  Every early end is
+raised through `Machine._end`, which first logs the cause as one ARM9
+event, so a failed boot's last event says why (`sig_rejected`,
+`section_digest_mismatch` with the section index, `abort_unhandled` with
+the vector, ...); an abort outside the section loads logs `data_abort`.
 
 Everything is a pure function of the construction seed, the image bytes
 and the declared inputs; event logs and reports are byte-reproducible.
@@ -1047,7 +1045,8 @@ def build_exploit_image(
     Section 3: junk loaded to NULL to fire the abort.
 
     `stage2="install"` swaps the ARM9 stage 2 for the installer variant,
-    which carries the NAND image and the SD second-stage image inline.
+    which carries the NAND image and the SD second-stage image inline;
+    a ValueError if they would run section 1 past the end of ARM9 RAM.
     """
     sec0_base = ARM11_WRAM_BASE + 0x100
     hook11_addr = sec0_base
@@ -1078,6 +1077,8 @@ def build_exploit_image(
             len(install_sd_image),
             payload=install_nand_image + install_sd_image,
         )
+        if sec1_base + len(section1) > MEMORY_REGIONS[2].end:
+            raise ValueError("installer payloads run past the end of ARM9 RAM")
     elif stage2 == "dump-or-chain":
         section1 += _blob(TAG_STAGE2_ARM9, EXFIL_BOOT9, EXFIL_BOOT11).ljust(0x40, b"\x00")
     else:

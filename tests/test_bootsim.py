@@ -885,6 +885,27 @@ class TestBoundedInstaller:
         assert len(machine.nand_store) == cap
         assert len(machine.sd_store[bootsim.SD_CHAIN_NAME]) == 0x10
 
+    @staticmethod
+    def installer(slot_keys, nand_len):
+        cart_key = slot_keys[(Console.RETAIL, SignatureType.NON_NAND_BOOT)]
+        sig = forge_with_private_key(cart_key, cart_key.block_length, b"ntr-cart")
+        return build_exploit_image(
+            sig.signature_bytes(), stage2="install",
+            install_nand_image=b"\x11" * nand_len, install_sd_image=b"\x22" * 0x10,
+        )
+
+    def test_largest_installer_that_fits_arm9_ram(self, machine, slot_keys):
+        empty = self.installer(slot_keys, 0).payloads[1]
+        arm9_end = bootsim.MEMORY_REGIONS[2].end
+        room = arm9_end - bootsim.ARM9_SAFE_AREA - len(empty)
+        image = self.installer(slot_keys, room)
+        assert image.sections[1].phys_addr + image.sections[1].size == arm9_end
+        report, _ = self.boot_cart(machine, serialize(image))
+        assert report.outcome is BootOutcome.SHUTDOWN
+        assert len(machine.nand_store) == room
+        with pytest.raises(ValueError, match="ARM9 RAM"):
+            self.installer(slot_keys, room + 1)
+
 
 def with_payload_byte_flipped(image, index):
     """`image` with the last byte of section `index` flipped after signing."""
