@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -7,6 +8,7 @@ import random
 import re
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -223,12 +225,19 @@ class TestBruteForceSearch:
         with pytest.raises(ValueError):
             brute_force_search(key512.public, FLAWED_64, 0, b"s", 100)
 
-    def test_progress_line_protocol(self, key512):
+    def test_progress_line_protocol(self, key512, monkeypatch):
+        # Each clock reading advances a fake clock by 0.3 s, so the chain's
+        # ten ticks span about three seconds.
+        readings = itertools.count()
+        fake_time = types.SimpleNamespace(perf_counter=lambda: 0.3 * next(readings))
+        monkeypatch.setattr(forge, "time", fake_time)
         out = io.StringIO()
-        brute_force_search(key512.public, UNLIKELY_64, 1, b"p", 4_000_000, progress=out)
+        brute_force_search(key512.public, UNLIKELY_64, 1, b"p", 20_000, progress=out)
         lines = out.getvalue().splitlines()
-        assert lines, "a multi-second run emits progress"
+        assert len(lines) >= 2, "a multi-second run emits progress"
         assert all(re.fullmatch(r"attempts=\d+ rate=\d+ elapsed=\d+\.\d", l) for l in lines)
+        elapsed = [float(line.rsplit("=", 1)[1]) for line in lines]
+        assert all(later - earlier >= 1.0 for earlier, later in zip(elapsed, elapsed[1:]))
 
     def test_result_files(self, key512, tmp_path):
         result = brute_force_search(key512.public, FLAWED_64, 1, b"forge-test-1", 4_000_000)
