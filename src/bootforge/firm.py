@@ -95,9 +95,6 @@ class FirmImage:
     signature: bytes = b"\x00" * SIGNATURE_FIELD_LENGTH
     payloads: tuple[bytes, ...] = (b"",) * SECTION_COUNT
 
-    def with_signature(self, signature_field: bytes) -> "FirmImage":
-        return replace(self, signature=signature_field)
-
 
 class FirmParseError(ValueError):
     def __init__(self, message: str, offset: int):
@@ -218,16 +215,14 @@ def parse(data: bytes) -> FirmImage:
         )
     used = sorted((s for s in sections if s.used), key=lambda s: s.offset)
     cursor = HEADER_LENGTH
-    expected_end = HEADER_LENGTH
     for section in used:
         if section.offset < cursor:
             raise FirmParseError("section payloads overlap", section.offset)
         if any(data[cursor : section.offset]):
             raise FirmParseError("nonzero bytes between payloads", cursor)
         cursor = section.offset + section.size
-        expected_end = cursor
-    if len(data) != expected_end:
-        raise FirmParseError("trailing bytes after the last payload", expected_end)
+    if len(data) != cursor:
+        raise FirmParseError("trailing bytes after the last payload", cursor)
     payloads = tuple(
         bytes(data[s.offset : s.offset + s.size]) if s.used else b"" for s in sections
     )
@@ -253,7 +248,7 @@ def sign_firm(image: FirmImage, key: RsaKeyPair) -> FirmImage:
     plaintext = pkcs1_digest_block(header_digest(image), key.block_length)
     signature = raw_sign(from_fixed_bytes(plaintext), key)
     block = to_fixed_bytes(signature, key.block_length)
-    return image.with_signature(block.ljust(SIGNATURE_FIELD_LENGTH, b"\x00"))
+    return replace(image, signature=block.ljust(SIGNATURE_FIELD_LENGTH, b"\x00"))
 
 
 def fakesign_firm(image: FirmImage, exploit_sig: bytes) -> FirmImage:
@@ -261,7 +256,7 @@ def fakesign_firm(image: FirmImage, exploit_sig: bytes) -> FirmImage:
     sig_bytes = bytes(exploit_sig)
     if len(sig_bytes) > SIGNATURE_FIELD_LENGTH:
         raise ValueError("signature exceeds the 0x100-byte field")
-    return image.with_signature(sig_bytes.ljust(SIGNATURE_FIELD_LENGTH, b"\x00"))
+    return replace(image, signature=sig_bytes.ljust(SIGNATURE_FIELD_LENGTH, b"\x00"))
 
 
 @dataclass(frozen=True)
