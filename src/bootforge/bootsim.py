@@ -57,7 +57,7 @@ import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import firm as firmmod
 from .firm import CopyMethod, FirmImage, FirmParseError, SectionHeader
@@ -247,8 +247,7 @@ class NdmaRequest:
         return cls(src, dst, length, trigger)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     step: int
     proc: int
     kind: str
@@ -327,6 +326,12 @@ class _PagedStore:
     replaces each page it touches with a new `bytes` object, so a stored
     page never changes: a copy can share a whole page by reference, and a
     snapshot of a range is only a dict of the page references in it.
+
+    Costs: a read inside one page is one slice, and a whole aligned page
+    reads as the page itself.  A write composes each page it touches
+    once (`_put`), and whether it writes only zeros onto an absent page
+    is decided by comparing with the shared zero page, which stops at
+    the first nonzero byte.
     """
 
     def __init__(self, pages: Optional[dict[int, bytes]] = None) -> None:
@@ -351,46 +356,60 @@ class _PagedStore:
         """Write the `count` bytes that `source` reads at `source_offset`.
 
         `source` is another store, a snapshot when the ranges may share
-        backing.  Only the pages stored on either side are visited, so the
-        cost is O(pages present), not O(count).  A whole aligned source
-        page is stored by reference; an absent one over a stored page
-        leaves the shared zero page there.
+        backing.  Only the pages stored on either side are visited, and
+        each destination page is composed once, so the cost is one dict
+        store per page present, not O(count).  When the shift is a
+        multiple of the page size, each destination page reads one slice
+        of one source page, and a whole one is the source page itself,
+        stored by reference; an absent one over a stored page leaves the
+        shared zero page there.
         """
         shift = offset - source_offset
+        end = offset + count
+        pages = _page_range(offset, count)
         touched = set(self._present(offset, count))
         for page in source._present(source_offset, count):
-            lo = max(page * _PAGE, source_offset) + shift
-            hi = min((page + 1) * _PAGE, source_offset + count) + shift
-            touched.update(range(lo // _PAGE, (hi - 1) // _PAGE + 1))
+            # A source page lands on one destination page, or straddles two.
+            lo = page * _PAGE + shift
+            touched.update((lo // _PAGE, (lo + _PAGE - 1) // _PAGE))
         for page in sorted(touched):
-            lo = max(page * _PAGE, offset)
-            hi = min((page + 1) * _PAGE, offset + count)
-            self.write(lo, source.read(lo - shift, hi - lo))
+            if page not in pages:
+                continue
+            base = page * _PAGE
+            lo = max(base, offset)
+            hi = min(base + _PAGE, end)
+            self._put(page, lo - base, source.read(lo - shift, hi - lo))
 
     def read(self, offset: int, count: int) -> bytes:
+        page, within = divmod(offset, _PAGE)
+        if 0 < count <= _PAGE - within:
+            return self._page(page)[within : within + count]  # a whole page is the page itself
         parts = []
         while count > 0:
-            page, within = divmod(offset, _PAGE)
             chunk = min(count, _PAGE - within)
             parts.append(self._page(page)[within : within + chunk])
-            offset += chunk
+            page += 1
+            within = 0
             count -= chunk
-        return b"".join(parts)  # a whole aligned page comes back as the page itself
+        return b"".join(parts)
 
     def write(self, offset: int, data: bytes) -> None:
         pos = 0
         while pos < len(data):
             page, within = divmod(offset + pos, _PAGE)
             end = min(len(data), pos + _PAGE - within)
-            old = self._pages.get(page)
-            if old is None:
-                if data.count(0, pos, end) == end - pos:
-                    pos = end  # zeros onto an absent page change nothing
-                    continue
-                old = _ZERO_PAGE
-            # A whole page of `bytes` is stored as the very object written.
-            self._pages[page] = old[:within] + data[pos:end] + old[within + end - pos :]
+            self._put(page, within, data[pos:end])
             pos = end
+
+    def _put(self, page: int, within: int, chunk: bytes) -> None:
+        """Store `chunk` at byte `within` of `page`, which it must not leave."""
+        old = self._pages.get(page)
+        if old is None:
+            if _ZERO_PAGE.startswith(chunk):
+                return  # zeros onto an absent page change nothing
+            old = _ZERO_PAGE
+        # A whole page of `bytes` is stored as the very object given.
+        self._pages[page] = old[:within] + chunk + old[within + len(chunk) :]
 
 
 class _RomStore(_PagedStore):
@@ -414,7 +433,7 @@ class _RomStore(_PagedStore):
     def _present(self, offset: int, count: int) -> range:
         return _page_range(offset, count)  # every ROM page has bytes
 
-    def write(self, offset: int, data: bytes) -> None:
+    def _put(self, page: int, within: int, chunk: bytes) -> None:
         raise RuntimeError("ROM store is not writable")
 
 
@@ -462,7 +481,9 @@ class Machine:
     keyed by physical address.  A physical copy (`copy_phys`, the DMA
     engine's records) moves page references: its cost grows with the
     pages stored in its source and destination ranges, not with its
-    length, so a 128 MiB record over untouched RAM costs dict lookups.
+    length, so a 128 MiB record over untouched RAM costs dict lookups,
+    and a copy at a page-multiple shift, as the exploit copies each
+    protected ROM half, stores one source page reference per whole page.
     Non-volatile stores (NAND, the cartridge slot, the SD card) and the
     ROMs persist across boots; everything else, RAM and the ROM locks
     included, is rebuilt by each boot.  The boot source is what the held
@@ -610,6 +631,11 @@ class Machine:
 
     def copy_phys(self, src: int, dst: int, length: int, proc: int = 9) -> None:
         """Unchecked physical copy with memmove semantics; touching address 0 aborts.
+
+        A `length` of zero or less ends the boot in FAILURE with the cause
+        `copy_zero_length` before any page is touched.  Only direct callers
+        reach it: a boot's NDMA records reject a zero length as
+        `ndma_malformed` first, and its hooks copy whole protected halves.
 
         The source is read first, as a snapshot of its page references, so
         a source that leaves its span aborts before anything is written.

@@ -275,7 +275,11 @@ def _cmd_boot(args, config: WorkspaceConfig) -> int:
         machine, Path(args.image).read_bytes(), _parser_mode(args, config)
     )
     _emit_report(report, _workdir(args), "boot-report")
-    return 0 if report.reached_entry else 1
+    if report.reached_entry:
+        return 0
+    # The boot's last event is its cause (`Machine._end` logs it).
+    print(f"boot {report.outcome.value}: {report.events[-1].line()}", file=sys.stderr)
+    return 1
 
 
 def _cmd_exploit(args, config: WorkspaceConfig) -> int:

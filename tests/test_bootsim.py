@@ -450,6 +450,31 @@ class TestPagedStore:
         assert list(machine._roms[9]._present(PROTECTED_HALF + 0x10, 0)) == []
         assert machine.ram.snapshot(self.FCRAM + 0x10, 0)._pages == {}
 
+    def test_a_whole_aligned_page_is_stored_as_the_source_page(self, machine):
+        machine.copy_phys(BOOT9_ROM_BASE + PROTECTED_HALF, bootsim.EXFIL_BOOT9, PROTECTED_HALF)
+        rom_pages = machine._roms[9]._pages
+        first = bootsim.EXFIL_BOOT9 // 0x1000
+        for i in range(PROTECTED_HALF // 0x1000):
+            assert machine.ram._pages[first + i] is rom_pages[PROTECTED_HALF // 0x1000 + i]
+        # RAM to RAM at a page-multiple shift: the one whole page is shared too.
+        machine.copy_phys(bootsim.EXFIL_BOOT9 + 0x10, self.FCRAM + 0x10, 0x1FF0)
+        assert machine.ram._pages[0x20001] is machine.ram._pages[first + 1]
+
+    @pytest.mark.parametrize("length", [0, -4])
+    def test_zero_length_copy_fails_the_boot(self, machine, length):
+        machine.write_phys(self.FCRAM, b"\xff" * 0x20)
+        pages = dict(machine.ram._pages)
+        with pytest.raises(bootsim._BootEnd) as end:
+            machine.copy_phys(BOOT9_ROM_BASE + PROTECTED_HALF, self.FCRAM, length)
+        assert end.value.outcome is BootOutcome.FAILURE
+        last = machine.event_log[-1]
+        assert (last.proc, last.kind, last.addr, last.length) == (
+            9, "copy_zero_length", self.FCRAM, length
+        )
+        assert machine.ram._pages == pages
+        assert all(machine.ram._pages[page] is data for page, data in pages.items())
+        assert machine._roms[9]._pages == {}
+
     @pytest.mark.parametrize(
         "src, dst, length",
         [(0x0, 0x7F0, 0x2345), (0x7F0, 0x0, 0x2345), (0x123, 0x124, 0x1FFF), (0x2000, 0x1FFF, 0x1001)],
@@ -536,6 +561,15 @@ def dense(addr, length):
     return [(addr, length, True, addr)]
 
 
+def zeroed(addr, length):
+    """Sparse fills that write only zeros over [addr, addr+length): each is
+    shorter than its seed's first nonzero offset."""
+    seed = max(range(100), key=lambda s: random.Random(s).randrange(0x1F0))
+    step = random.Random(seed).randrange(0x1F0)
+    return [(pos, min(step, addr + length - pos), False, seed)
+            for pos in range(addr, addr + length, step)]
+
+
 class TestStreamingCopy:
     """`copy_phys` against the read-whole-then-write copy it replaced."""
 
@@ -581,6 +615,22 @@ class TestStreamingCopy:
              length=0x3000, locked=set(), proc=9)
     @example(fills=dense(FCRAM, 0x3000), src=FCRAM, dst=FCRAM_END - 0x1800,
              length=0x3000, locked=set(), proc=9)
+    # Page-multiple shifts.  A protected ROM half into page-aligned RAM, as
+    # the exploit copies it, onto absent and onto stored pages.
+    @example(fills=[], src=BOOT9_ROM_BASE + PROTECTED_HALF, dst=bootsim.EXFIL_BOOT9,
+             length=PROTECTED_HALF, locked=set(), proc=9)
+    @example(fills=dense(bootsim.EXFIL_BOOT11 + 0x800, 0x1800),
+             src=BOOT11_ROM_BASE + PROTECTED_HALF, dst=bootsim.EXFIL_BOOT11,
+             length=PROTECTED_HALF, locked=set(), proc=11)
+    # A stored all-zero source page over an absent destination page.
+    @example(fills=dense(FCRAM, 0x2000) + zeroed(FCRAM + 0x1000, 0x1000), src=FCRAM,
+             dst=FCRAM + 0x100000, length=0x2000, locked=set(), proc=9)
+    # An absent source page over a stored destination page.
+    @example(fills=dense(FCRAM, 0x2000), src=FCRAM + 0x100000, dst=FCRAM,
+             length=0x2000, locked=set(), proc=9)
+    # Partial head and tail pages, overlapping: a memmove one page up.
+    @example(fills=dense(FCRAM, 0x4000), src=FCRAM + 0x234, dst=FCRAM + 0x1234,
+             length=0x2E00, locked=set(), proc=9)
     def test_matches_the_read_then_write_copy(
         self, registry, fills, src, dst, length, locked, proc
     ):

@@ -196,6 +196,22 @@ class TestImagePipeline:
         )
         assert rc_bad == 1  # unsigned image fails verification
 
+    def test_failed_boot_prints_its_cause(self, workspace, key_dir, capsys):
+        plain = build_plain_image(workspace)
+        Path("garbage.sig").write_text("5a" * 64)
+        main(["fakesign", "--sig", "garbage.sig", "--image", str(plain), "--out", "garbage.firm"])
+        capsys.readouterr()
+        rc = main(["boot", "--image", "garbage.firm", "--key-dir", str(key_dir), "--seed", SEED])
+        out, err = capsys.readouterr()
+        work = workspace / "work"
+        log = (work / "boot-report.log").read_text().splitlines()
+        assert rc == 1
+        assert err == f"boot failure: {log[-1]}\n"
+        assert " event=sig_rejected " in log[-1]
+        # The printed JSON is the report file's, as for a boot that succeeds.
+        assert out == (work / "boot-report.json").read_text()
+        assert json.loads(out)["outcome"] == "failure"
+
     @pytest.mark.parametrize("fields", ["n=0\ne=3", "n=00\ne=3", "n=1\ne=3", "n=ff\ne=1"])
     def test_degenerate_key_file_is_a_usage_error(self, workspace, fields, capsys):
         plain = build_plain_image(workspace)

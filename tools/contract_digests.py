@@ -5,10 +5,10 @@
 Exports the tree of commit REV and the tree staged in the index (after a
 commit, the tree of HEAD), as `tools/bench_pairs.py` does, and refuses to
 start while a tracked file differs from the index.  In each tree it runs,
-with that tree's own bootforge and perfbench, 176 operations, 44 on each
+with that tree's own bootforge and perfbench, 188 operations, 47 on each
 of the benchmark seeds 1, 101, 102 and 103: the ten boots of perfbench's
 `BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy, the
-copy that runs off FCRAM, the fourteen direct `Machine.copy_phys` cases of
+copy that runs off FCRAM, the seventeen direct `Machine.copy_phys` cases of
 `COPY_CASES` (both trees run this file's list), the five `raw_sign` cases
 of `SIGN_KEYS`, one read of both full boot ROMs, the single-worker
 `search512` and `search2048` searches, and the `estimate64` and
@@ -70,6 +70,12 @@ COPY_CASES = (
     ("offmap dtcm source tail", DTCM_END - 0x800, FCRAM, 0x1000, ()),
     ("offmap dtcm destination tail", FCRAM, DTCM_END - 0x800, 0x1000, ()),
     ("into boot11 rom", FCRAM, BOOT11_ROM + 0x7F00, 0x1000, ()),
+    # Page-multiple shifts: a protected half into page-aligned RAM, as the
+    # exploit copies it; absent source pages over stored ones; an
+    # overlapping move with partial head and tail pages.
+    ("rom half page-aligned", 0xFFFF8000, 0x08018000, 0x8000, ()),
+    ("fcram page shift", FCRAM + 0x8000, FCRAM, 0x4000, ()),
+    ("fcram page shift partial", FCRAM + 0x234, FCRAM + 0x1234, 0x2E00, ()),
 )
 # (bits, keygen seed, exponent) of the keys the sign cases use.
 SIGN_KEYS = (
@@ -178,7 +184,7 @@ def rom_record(number: int) -> dict:
 
 
 def tree_records() -> list[dict]:
-    """The 176 operation records of the bootforge and perfbench on sys.path."""
+    """The 188 operation records of the bootforge and perfbench on sys.path."""
     from bootforge.modmath import generate_keypair
     from bootforge.prng import derive_seed
     from corpus import build_corpus
