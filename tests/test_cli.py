@@ -199,7 +199,8 @@ class TestImagePipeline:
     def test_failed_boot_prints_its_cause(self, workspace, key_dir, capsys):
         plain = build_plain_image(workspace)
         Path("garbage.sig").write_text("5a" * 64)
-        main(["fakesign", "--sig", "garbage.sig", "--image", str(plain), "--out", "garbage.firm"])
+        fakesign = ["fakesign", "--sig", "garbage.sig", "--image", str(plain), "--out", "garbage.firm"]
+        assert main(fakesign) == 0
         capsys.readouterr()
         rc = main(["boot", "--image", "garbage.firm", "--key-dir", str(key_dir), "--seed", SEED])
         out, err = capsys.readouterr()
