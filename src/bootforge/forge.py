@@ -32,8 +32,11 @@ for the zero top byte).  For a modulus of exactly 8*bl bits the factor
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
+import signal
+import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -267,7 +270,44 @@ class SearchWorkerError(RuntimeError):
         self.exitcode = exitcode
 
 
+class _Terminated(BaseException):
+    """A SIGTERM to the parent of a running multi-worker search."""
+
+
+def _raise_terminated(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # one is enough: let the cleanup finish
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_raises():
+    """While the block runs, a SIGTERM raises into it, so that its `finally`
+    clauses stop the workers; the process then ends by SIGTERM, as it would
+    have.  Only on the main thread, the one that may set a handler, and only
+    while SIGTERM has its default action: a caller's handler, or an ignored
+    SIGTERM, stays in charge.  The default action is restored afterwards."""
+    if (
+        threading.current_thread() is not threading.main_thread()
+        or signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+    ):
+        yield
+        return
+    signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _worker_main(n, e, block_length, config, seed, index, budget, stop, results, counter):
+    # A forked worker inherits the parent's search handler; it ends by
+    # SIGTERM's default action instead.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
     def tick(attempts: int) -> bool:
         counter.value = attempts
         return stop.is_set()
@@ -302,7 +342,8 @@ def brute_force_search(
     is a ValueError before any chain runs.  Returns None when every
     worker spent its budget; raises SearchWorkerError when a worker died
     without a result and none found a hit.  A worker's death stops its
-    peers at once.
+    peers at once, and so does a SIGTERM to the parent (see
+    `_sigterm_raises`) before the parent ends by it.
     """
     n, e = pub
     if not 1 <= worker_count <= MAX_WORKERS:
@@ -324,39 +365,41 @@ def brute_force_search(
     counters = [multiprocessing.Value("q", 0, lock=False) for _ in range(worker_count)]
     share, extra = divmod(max_attempts, worker_count)
     workers = []
-    try:
-        for idx in range(worker_count):
-            budget = share + (1 if idx < extra else 0)
-            proc = multiprocessing.Process(
-                target=_worker_main,
-                args=(n, e, block_length, config, seed, idx, budget, stop, results, counters[idx]),
-            )
-            proc.start()
-            workers.append(proc)
+    with _sigterm_raises():
+        try:
+            for idx in range(worker_count):
+                budget = share + (1 if idx < extra else 0)
+                proc = multiprocessing.Process(
+                    target=_worker_main,
+                    args=(n, e, block_length, config, seed, idx, budget, stop, results,
+                          counters[idx]),
+                )
+                proc.start()
+                workers.append(proc)
 
-        report = _progress_reporter(progress)
-        while any(p.is_alive() for p in workers) and not any(p.exitcode for p in workers):
-            time.sleep(0.05)
-            report(sum(c.value for c in counters))
-        # A crashed worker stops the search at once; its peers get a grace
-        # period to notice the flag, so a hit already in flight still wins.
-        stop.set()
-        deadline = time.monotonic() + _STOP_GRACE_S
-        for proc in workers:
-            proc.join(max(0.0, deadline - time.monotonic()))
-        winner: Optional[ForgeResult] = None
-        while not results.empty():
-            item = results.get()
-            if isinstance(item, Exception):
-                raise item
-            if winner is None:
-                winner = item
-    finally:
-        stop.set()
-        for proc in workers:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+            report = _progress_reporter(progress)
+            while any(p.is_alive() for p in workers) and not any(p.exitcode for p in workers):
+                time.sleep(0.05)
+                report(sum(c.value for c in counters))
+            # A crashed worker stops the search at once; its peers get a grace
+            # period to notice the flag, so a hit already in flight still wins.
+            stop.set()
+            deadline = time.monotonic() + _STOP_GRACE_S
+            for proc in workers:
+                proc.join(max(0.0, deadline - time.monotonic()))
+            winner: Optional[ForgeResult] = None
+            while not results.empty():
+                item = results.get()
+                if isinstance(item, Exception):
+                    raise item
+                if winner is None:
+                    winner = item
+        finally:
+            stop.set()
+            for proc in workers:
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
     if winner is None:
         for idx, proc in enumerate(workers):
             if proc.exitcode != 0:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -6,9 +7,14 @@ import multiprocessing
 import os
 import random
 import re
+import signal
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +59,31 @@ def crash_first_worker(*args):
     if args[5] == 0:  # the worker index
         os._exit(9)
     time.sleep(60)
+
+
+# The parent of a two-worker search whose chains write their pid into
+# argv[1] and hang; argv[2] is the modulus.
+SIGTERM_PARENT = """
+import os, sys, time
+from pathlib import Path
+from bootforge import forge
+from bootforge.sigparser import ParserConfig
+
+def hang(*args):
+    (Path(sys.argv[1]) / str(os.getpid())).touch()
+    time.sleep(60)
+
+forge._run_chain = hang
+forge.brute_force_search((int(sys.argv[2]), 65537), ParserConfig.flawed(64), 2, b"s", 10_000)
+"""
+
+
+def is_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class FailingProgress:
@@ -220,6 +251,42 @@ class TestBruteForceSearch:
                 key512.public, FLAWED_64, 2, b"s", 10_000, progress=FailingProgress()
             )
         assert multiprocessing.active_children() == []
+
+    def test_sigterm_to_the_parent_stops_its_workers(self, key512, tmp_path):
+        src = str(Path(forge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        parent = subprocess.Popen(
+            [sys.executable, "-c", SIGTERM_PARENT, str(tmp_path), str(key512.n)], env=env
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(pids) < 2:
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+                pids = [int(path.name) for path in tmp_path.iterdir()]
+            parent.send_signal(signal.SIGTERM)
+            assert parent.wait(timeout=30) == -signal.SIGTERM
+            assert [pid for pid in pids if is_alive(pid)] == []
+        finally:
+            parent.kill()
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_search_restores_sigterm_and_runs_off_the_main_thread(self, key512):
+        before = signal.getsignal(signal.SIGTERM)
+        assert brute_force_search(key512.public, UNLIKELY_64, 2, b"s", 10_000) is None
+        assert signal.getsignal(signal.SIGTERM) is before
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(
+                brute_force_search(key512.public, UNLIKELY_64, 2, b"s", 10_000)
+            )
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and results == [None]
 
     def test_rejects_zero_workers(self, key512):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bootforge import modmath
@@ -57,6 +57,55 @@ def test_mod_exp_rejects_bad_modulus():
         mod_exp(2, -1, 5)
 
 
+BN_MOD_EXP = modmath._bind_bn_mod_exp()
+needs_libcrypto = pytest.mark.skipif(BN_MOD_EXP is None, reason="libcrypto BN functions not loadable")
+
+
+def test_key_pow_is_decided_at_import():
+    assert (modmath._key_pow is pow) == (BN_MOD_EXP is None)
+
+
+@st.composite
+def key_length_operands(draw):
+    """An odd modulus from 3 to 2**2048, a base at or past its edges, and an
+    exponent of 0, 1 or the modulus's length."""
+    bits = draw(st.integers(2, 2048))
+    modulus = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    base = draw(st.one_of(
+        st.sampled_from([0, 1, modulus - 1]),
+        st.integers(modulus, modulus << 64),
+        st.integers(0, modulus - 1),
+    ))
+    exp = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, (1 << bits) - 1)))
+    return base, exp, modulus
+
+
+M2048 = (1 << 2048) - 1
+
+
+@needs_libcrypto
+@settings(max_examples=300, deadline=None)
+@given(operands=key_length_operands())
+@example(operands=(0, 0, 3))
+@example(operands=(2, 1, 3))
+@example(operands=(5, 3, 3))
+@example(operands=(M2048 - 1, M2048 - 2, M2048))
+@example(operands=(M2048 << 3, 0, M2048))
+def test_libcrypto_modexp_is_builtin_pow(operands):
+    base, exp, modulus = operands
+    assert BN_MOD_EXP(base, exp, modulus) == pow(base, exp, modulus)
+
+
+def no_library(path):
+    raise OSError("cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [no_library, lambda path: object()], ids=["no library", "no symbols"])
+def test_libcrypto_that_cannot_load_falls_back(monkeypatch, cdll):
+    monkeypatch.setattr(modmath.ctypes, "CDLL", cdll)
+    assert modmath._bind_bn_mod_exp() is None
+
+
 def test_keypair_deterministic():
     a = generate_keypair(512, b"seed A")
     b = generate_keypair(512, b"seed A")
@@ -74,8 +123,11 @@ PINNED_KEYS = [
 ]
 
 
+@pytest.mark.parametrize("power", ["libcrypto", "builtin"])
 @pytest.mark.parametrize("bits, seed, exponent, fingerprint", PINNED_KEYS)
-def test_keypair_is_pinned(bits, seed, exponent, fingerprint):
+def test_keypair_is_pinned(monkeypatch, bits, seed, exponent, fingerprint, power):
+    if power == "builtin":
+        monkeypatch.setattr(modmath, "_key_pow", pow)  # the fallback when libcrypto is missing
     key = generate_keypair(bits, seed, exponent)
     assert key.bit_length == bits and key.e == exponent
     assert hashlib.sha256(f"{key.n:x}:{key.e:x}:{key.d:x}".encode()).hexdigest() == fingerprint
@@ -130,9 +182,9 @@ def round_moduli(monkeypatch, c, bases):
     moduli = []
     strong_round = modmath._strong_round
 
-    def spy(a, d, r, modulus):
+    def spy(x, r, modulus):
         moduli.append(modulus)
-        return strong_round(a, d, r, modulus)
+        return strong_round(x, r, modulus)
 
     monkeypatch.setattr(modmath, "_strong_round", spy)
     modmath._is_probable_prime(c, ReplayWitnesses(bases))

@@ -274,6 +274,54 @@ class TestStrictSubsetOfFlawed:
         assert not strict_parse(KNOWN_EXPLOIT_BLOCK, any_hash()).is_accept
 
 
+# Byte values the strict walk compares against, and a few others.
+EDIT_BYTES = st.one_of(st.sampled_from([0x00, 0x01, 0x02, 0x04, 0x20, 0x30, 0x31, 0xFF]),
+                       st.integers(0, 255))
+BLOCK_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), st.integers(0, 0x110), EDIT_BYTES),
+        st.tuples(st.just("insert"), st.integers(0, 0x110), EDIT_BYTES),
+        st.tuples(st.just("delete"), st.integers(0, 0x110)),
+        st.tuples(st.just("truncate"), st.integers(8, 0x110)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=4)),
+    ),
+    max_size=4,
+)
+
+
+class TestEncodeAndCompare:
+    """RFC 8017 section 8.2.2 verifies by encoding the hash and comparing the
+    blocks; `strict_parse` must accept exactly the blocks that encoding gives."""
+
+    @given(
+        tag=st.binary(max_size=4),
+        other_hash=st.booleans(),
+        block_length=st.sampled_from([62, 64, 0x100]),
+        edits=BLOCK_EDITS,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_strict_accepts_exactly_the_encoded_block(self, tag, other_hash, block_length, edits):
+        digest = hashlib.sha256(tag).digest()
+        block = bytearray(pkcs1_digest_block(digest, block_length))
+        for kind, *args in edits:
+            if kind == "set":
+                block[args[0] % len(block)] = args[1]
+            elif kind == "insert":
+                block.insert(args[0] % (len(block) + 1), args[1])
+            elif kind == "delete" and len(block) > 8:  # strict_parse refuses shorter blocks
+                del block[args[0] % len(block)]
+            elif kind == "truncate":
+                del block[args[0]:]
+            elif kind == "extend":
+                block += args[0]
+        calc_hash = any_hash(tag + b"other") if other_hash else digest
+        try:
+            encoded = pkcs1_digest_block(calc_hash, len(block))
+        except ValueError:  # too short for 8 bytes of padding
+            encoded = None
+        assert strict_parse(bytes(block), calc_hash).is_accept == (block == encoded)
+
+
 def test_annotated_dump_mentions_legend():
     text = annotate_plaintext(KNOWN_EXPLOIT_BLOCK)
     assert "legend:" in text

@@ -5,12 +5,13 @@
 Exports the tree of commit REV and the tree staged in the index (after a
 commit, the tree of HEAD), as `tools/bench_pairs.py` does, and refuses to
 start while a tracked file differs from the index.  In each tree it runs,
-with that tree's own bootforge and perfbench, 188 operations, 47 on each
+with that tree's own bootforge and perfbench, 192 operations, 48 on each
 of the benchmark seeds 1, 101, 102 and 103: the ten boots of perfbench's
 `BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy, the
 copy that runs off FCRAM, the seventeen direct `Machine.copy_phys` cases of
 `COPY_CASES` (both trees run this file's list), the five `raw_sign` cases
-of `SIGN_KEYS`, one read of both full boot ROMs, the single-worker
+of `SIGN_KEYS`, one record of the keys themselves, one read of both full
+boot ROMs, the single-worker
 `search512` and `search2048` searches, and the `estimate64` and
 `estimate256` estimates.  For each simulator
 operation it hashes the report JSON, the machine's whole event log, its
@@ -21,6 +22,10 @@ destination ranges, and records the data-abort address, if any.  Each
 sign case signs 0, 1, n - 1 and eight seeded messages twice, with the
 generated key and with the same (n, e, d) built bare, as a key file
 builds it; it hashes the signatures and checks each by s**e = m.  The
+key record hashes n:e:d of the corpus's six slot keys (generated again
+as `build_corpus` derives them, and checked against its registry), its
+2048-bit search key, the five `SIGN_KEYS` and one 2048-bit e = 3 key
+seeded from the seed; it checks each key by (2**e)**d = 2 mod n.  The
 ROM read hashes both 64 KiB ROMs of a machine seeded from the seed and
 checks them against SHA-256(seed || be64(i)) computed here.  For
 each search it hashes the result's signature, plaintext, landing offset,
@@ -164,6 +169,24 @@ def sign_records(number: int, keys: list) -> list[dict]:
     return records
 
 
+def key_record(number: int, corpus, sign_keys: list) -> dict:
+    """The keys' own n:e:d: the corpus's, the `SIGN_KEYS` and a seeded e = 3 key."""
+    from bootforge.modmath import REGISTRY_SLOTS, generate_keypair, slot_label
+    from bootforge.prng import derive_seed
+    from corpus import SETUP_SEED
+
+    slots = [generate_keypair(512, derive_seed(SETUP_SEED, "slot", slot_label(*slot)))
+             for slot in REGISTRY_SLOTS]
+    keys = slots + [corpus.key2048, *sign_keys,
+                    generate_keypair(2048, f"contract keys {number}".encode(), 3)]
+    return {
+        "op": f"seed {number} keys",
+        "ok": [key.n for key in slots] == [corpus.registry.get(*slot)[0] for slot in REGISTRY_SLOTS]
+        and all(pow(pow(2, key.e, key.n), key.d, key.n) == 2 for key in keys),
+        "keys": _sha("".join(f"{key.n:x}:{key.e:x}:{key.d:x}\n" for key in keys).encode()),
+    }
+
+
 def rom_record(number: int) -> dict:
     """Both full ROMs of one machine, checked against SHA-256(seed || be64(i))."""
     from bootforge.bootsim import Machine
@@ -184,7 +207,7 @@ def rom_record(number: int) -> dict:
 
 
 def tree_records() -> list[dict]:
-    """The 188 operation records of the bootforge and perfbench on sys.path."""
+    """The 192 operation records of the bootforge and perfbench on sys.path."""
     from bootforge.modmath import generate_keypair
     from bootforge.prng import derive_seed
     from corpus import build_corpus
@@ -235,6 +258,7 @@ def tree_records() -> list[dict]:
             })
         records += copy_records(number)
         records += sign_records(number, sign_keys)
+        records.append(key_record(number, corpus, sign_keys))
         records.append(rom_record(number))
         for leg in ("search512", "search2048"):
             ops.found = None
