@@ -12,7 +12,13 @@ walk to a chosen landing offset:
   without ever computing a root.  Each step also tests n - y, because
   with odd e the signature of n - y is simply n - r^z; that negation
   check costs a subtraction instead of a multiplication and nearly
-  doubles throughput.
+  doubles throughput.  From `_BN_CHAIN_MIN_BITS` up, with an odd n and
+  libcrypto loaded, the chain steps on OpenSSL bignums by one Montgomery
+  product (see `modmath`) and converts only candidates, the values whose
+  top byte or whose negation's top byte is zero, back to `int`; below
+  that, or without libcrypto, it steps in CPython.  Both steps give the
+  same values, so the attempt sequence and the hits do not depend on
+  which one ran.
 
 `estimate_hit_probability` measures the probability that a uniformly
 random block satisfies a classification predicate, and
@@ -44,6 +50,7 @@ from typing import Callable, Optional, TextIO
 
 import numpy as np
 
+from . import modmath
 from .modmath import (
     RsaKeyPair, block_length_of, from_fixed_bytes, mod_exp, raw_sign, raw_verify, to_fixed_bytes,
 )
@@ -72,6 +79,15 @@ _PREFERRED_INNER_LEN = 0x1A
 _ESTIMATE_DRAW_BYTES = 1 << 20  # random bytes per estimator draw
 
 _TICK_MASK = 0x3FF  # a chain calls its tick every 1024 steps
+
+# The smallest modulus whose chain steps in libcrypto.  Two sets of
+# seeded searches with both steps (2-CPU Xeon, `time.process_time`,
+# medians of 5 and of 9) ran the libcrypto step 1.1-1.5x as fast at 512
+# to 704 bits, 1.7-2.0x at 768, 2.2-2.4x at 1024 and 4.8-5.1x at 2048.
+# An earlier prototype of the step lost 7-13% at 512 bits, tied at 576
+# and won 15% at 640: the libcrypto step starts where both gained, and
+# 512-bit searches keep the CPython step.
+_BN_CHAIN_MIN_BITS = 640
 
 _STOP_GRACE_S = 1.0  # time a worker gets to see the stop flag before it is terminated
 
@@ -200,6 +216,31 @@ def _classify_pair(classify, y: int, n: int, top: int, block_length: int):
     return None
 
 
+def _python_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
+    """The chain y <- y*k mod n from y = 1 in CPython, for `steps` steps.
+
+    After step z it yields (z, y) when y or n - y is below 2**top_bits,
+    and then (z, None) when z & tick_mask is 0, as `modmath._bn_chain` does.
+    """
+    top = 1 << top_bits
+    bottom = n - top
+    y = 1
+    for z in range(1, steps + 1):
+        y = y * k % n
+        if y < top or y > bottom:
+            yield z, y
+        if z & tick_mask == 0:
+            yield z, None
+
+
+def _chain(k: int, n: int, top_bits: int, steps: int):
+    """The search chain, stepped by libcrypto's Montgomery product from
+    `_BN_CHAIN_MIN_BITS` up when it is loaded and n is odd, else in CPython."""
+    if modmath._bn_chain is not None and n & 1 and n.bit_length() >= _BN_CHAIN_MIN_BITS:
+        return modmath._bn_chain(k, n, top_bits, steps, _TICK_MASK)
+    return _python_chain(k, n, top_bits, steps, _TICK_MASK)
+
+
 def _run_chain(
     n: int,
     e: int,
@@ -221,22 +262,25 @@ def _run_chain(
     r = draw_root(worker_seed, worker_index, n)
     k = mod_exp(r, e, n)
     # A value can only classify if its top byte is zero: y < top, or
-    # n - y < top, which is y > n - top.
-    top = 1 << (8 * block_length - 8)
-    bottom = n - top
-    steps = (budget + 1) // 2  # 2 * z < budget
+    # n - y < top.
+    top_bits = 8 * block_length - 8
+    top = 1 << top_bits
+    # The last step starts while 2 * (z - 1) < budget, so an odd budget
+    # ends one attempt past it.
+    steps = (budget + 1) // 2
 
     started = time.perf_counter()
-    y = 1
     z = 0
     hit = None
-    while z < steps:
-        z += 1
-        y = y * k % n
-        if (y < top or y > bottom) and (hit := _classify_pair(classify, y, n, top, block_length)):
-            break
-        if z & _TICK_MASK == 0 and tick(2 * z):
-            break
+    with contextlib.closing(_chain(k, n, top_bits, steps)) as chain:
+        for z, y in chain:
+            if y is None:
+                if tick(2 * z):
+                    break
+            elif hit := _classify_pair(classify, y, n, top, block_length):
+                break
+        else:
+            z = steps
     tick(2 * z)
     if hit is None:
         return None
@@ -336,8 +380,11 @@ def brute_force_search(
     only a stop flag, the result slot and an attempt counter each; every
     1024 chain steps a worker publishes its count and polls the flag.
     The first confirmed hit wins, with the workers' final counts summed
-    as its attempts.  With worker_count == 1 the search runs inline and
-    the attempt sequence is a pure function of the seed.  Either way
+    as its attempts.  A chain makes two attempts a step and starts its
+    last step while 2 * (z - 1) < its budget, so an odd budget ends one
+    attempt past it: `max_attempts=1` makes 2.  With worker_count == 1
+    the search runs inline and the attempt sequence is a pure function of
+    the seed.  Either way
     `progress` gets at most one line a second.  A config that cannot hit
     is a ValueError before any chain runs.  Returns None when every
     worker spent its budget; raises SearchWorkerError when a worker died

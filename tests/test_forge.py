@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -14,12 +15,15 @@ import threading
 import time
 import tracemalloc
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bootforge import forge
+from bootforge import forge, modmath
 from bootforge.forge import (
     SearchWorkerError,
     brute_force_search,
@@ -30,7 +34,7 @@ from bootforge.forge import (
     forge_with_private_key,
     write_forge_result,
 )
-from bootforge.modmath import from_fixed_bytes, raw_verify
+from bootforge.modmath import from_fixed_bytes, generate_keypair, raw_verify
 from bootforge.prng import derive_seed
 from bootforge.sigparser import (
     ParserConfig,
@@ -45,6 +49,18 @@ from bootforge.sigparser import (
 FLAWED_64 = ParserConfig.flawed(64)
 # Can hit, but a block passes with probability about 2^-49: no test budget finds one.
 UNLIKELY_64 = ParserConfig.flawed(64, window=[64], check_type_bytes=True)
+# perfbench's 2048-bit predicate: 128 landing offsets, about 1.5e5 attempts a hit.
+FLAWED_256 = ParserConfig.flawed(0x100)
+UNLIKELY_256 = ParserConfig.flawed(0x100, window=[0x100], check_type_bytes=True)
+
+needs_bn_chain = pytest.mark.skipif(
+    modmath._bn_chain is None, reason="libcrypto BN functions not loadable"
+)
+
+
+@pytest.fixture(scope="module")
+def key2048():
+    return generate_keypair(2048, b"pin 2048")  # pinned in test_modmath
 
 
 def crash_worker(*args):
@@ -314,6 +330,175 @@ class TestBruteForceSearch:
         assert set(record) == {"signature", "landing_offset", "attempts", "elapsed_ms", "seed"}
         assert record["attempts"] == result.attempts
         assert record["seed"] == b"forge-test-1".hex()
+
+
+def reference_chain(k, n, top_bits, steps, tick_mask):
+    """What a chain yields, by plain y = y * k % n."""
+    out, y = [], 1
+    for z in range(1, steps + 1):
+        y = y * k % n
+        if min(y, n - y) < 1 << top_bits:
+            out.append((z, y))
+        if z & tick_mask == 0:
+            out.append((z, None))
+    return out
+
+
+@st.composite
+def chain_operands(draw):
+    """An odd modulus of 17 to 4096 bits, k of 1, n - 1 or any residue, a
+    candidate bound from 2**(bits-16) up to 2**(bits-1), a step count and a
+    tick mask."""
+    bits = draw(st.integers(17, 4096))
+    n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    k = draw(st.one_of(st.sampled_from([1, n - 1]), st.integers(0, n - 1)))
+    top_bits = draw(st.integers(bits - 16, bits - 1))
+    steps = draw(st.integers(0, 150))
+    tick_mask = draw(st.sampled_from([0, 1, 7, 0x3FF]))
+    return k, n, top_bits, steps, tick_mask
+
+
+class CountingBn:
+    """libcrypto's BN functions, recording each OpenSSL object made and freed."""
+
+    def __init__(self, bn):
+        self.made, self.freed = [], []
+        for name in modmath._BN_SIGNATURES:
+            setattr(self, name, getattr(bn, name))
+        for name in ("BN_new", "BN_bin2bn", "BN_CTX_new", "BN_MONT_CTX_new"):
+            setattr(self, name, self._making(getattr(bn, name)))
+        for name in ("BN_free", "BN_CTX_free", "BN_MONT_CTX_free"):
+            setattr(self, name, self._freeing(getattr(bn, name)))
+
+    def _making(self, func):
+        def make(*args):
+            obj = func(*args)
+            self.made.append(obj)
+            return obj
+        return make
+
+    def _freeing(self, func):
+        def free(obj):
+            self.freed.append(obj)
+            func(obj)
+        return free
+
+
+def failing_tick(attempts):
+    raise RuntimeError("tick failed")
+
+
+def recording_tick(ticks, stop_at=None):
+    def tick(attempts):
+        ticks.append(attempts)
+        return attempts == stop_at
+    return tick
+
+
+class TestChain:
+    """The search chain: its libcrypto step, its CPython step and its budget."""
+
+    @needs_bn_chain
+    @settings(max_examples=150, deadline=None)
+    @given(operands=chain_operands())
+    @example(operands=(1, (1 << 16) + 1, 8, 40, 7))
+    # y = 2**top_bits and n - y = 2**top_bits: neither is a candidate.
+    @example(operands=(1 << 8, (1 << 16) + 1, 8, 2, 7))
+    @example(operands=((1 << 16) + 1 - (1 << 8), (1 << 16) + 1, 8, 2, 7))
+    @example(operands=(((1 << 2048) - 1) - 1, (1 << 2048) - 1, 2040, 20, 1))
+    @example(operands=(3, (1 << 4095) + 3, 4094, 30, 0))
+    def test_libcrypto_chain_yields_the_python_steps(self, operands):
+        expected = reference_chain(*operands)
+        assert list(modmath._bn_chain(*operands)) == expected
+        assert list(forge._python_chain(*operands)) == expected
+
+    @pytest.mark.parametrize(
+        "bits, odd, step",
+        [(512, True, "_python_chain"), (2048, False, "_python_chain"), (2048, True, "bn_chain")],
+    )
+    def test_step_is_selected_by_size_and_parity(self, bits, odd, step):
+        n = (1 << (bits - 1)) + 2 + odd
+        if modmath._bn_chain is None:
+            step = "_python_chain"
+        chain = forge._chain(3, n, bits - 8, 10)
+        assert chain.__name__ == step
+        assert list(chain) == reference_chain(3, n, bits - 8, 10, forge._TICK_MASK)
+
+    @pytest.mark.parametrize(
+        "seed, attempts, landing_offset, negated, signature_sha256",
+        [
+            (b"search-2048-a", 76016, 273, True,
+             "dbc05edec23e8a782d32536345099464e222af787ecd64cf48c2a4609b53fe7f"),
+            (b"search-2048-d", 13292, 377, False,
+             "db4914581c6c15e0e7d9fd9ee802ade9a2e665eeb5ae5f035c8fc6ebf63846bf"),
+        ],
+    )
+    def test_search_is_pinned_at_2048_bits(
+        self, monkeypatch, key2048, seed, attempts, landing_offset, negated, signature_sha256
+    ):
+        # Pinned on the CPython step, before the libcrypto step existed.
+        result = brute_force_search(key2048.public, FLAWED_256, 1, seed, 10_000_000)
+        assert (result.attempts, result.landing_offset, result.negated) == (
+            attempts, landing_offset, negated
+        )
+        assert hashlib.sha256(result.signature_bytes()).hexdigest() == signature_sha256
+        assert raw_verify(result.signature, key2048.public) == from_fixed_bytes(result.plaintext)
+        monkeypatch.setattr(modmath, "_bn_chain", None)  # the fallback when libcrypto is missing
+        on_python = brute_force_search(key2048.public, FLAWED_256, 1, seed, 10_000_000)
+        assert replace(on_python, elapsed=0) == replace(result, elapsed=0)
+
+    @needs_bn_chain
+    def test_libcrypto_chain_ticks_every_1024_steps(self, monkeypatch, key2048):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return bn_chain(*args)
+
+        bn_chain = modmath._bn_chain
+        monkeypatch.setattr(modmath, "_bn_chain", spy)
+        ticks = []
+        n, e = key2048.public
+        assert forge._run_chain(
+            n, e, 0x100, UNLIKELY_256, b"t", 0, 10_000, recording_tick(ticks)
+        ) is None
+        assert len(calls) == 1
+        assert ticks == [2048, 4096, 6144, 8192, 10_000]
+
+    @pytest.mark.parametrize("bits", [512, 2048])
+    @pytest.mark.parametrize("budget", [1, 2, 2049])
+    def test_odd_budget_ends_one_attempt_past_it(self, key512, key2048, bits, budget):
+        key, config = (key512, UNLIKELY_64) if bits == 512 else (key2048, UNLIKELY_256)
+        n, e = key.public
+        ticks = []
+        assert forge._run_chain(
+            n, e, key.block_length, config, b"b", 0, budget, recording_tick(ticks)
+        ) is None
+        assert ticks[-1] == 2 * -(-budget // 2)
+        assert ticks == [2048] * (budget > 2048) + [ticks[-1]]
+
+    @needs_bn_chain
+    @pytest.mark.parametrize("end", ["hit", "spent budget", "stop", "tick raises"])
+    def test_libcrypto_chain_frees_what_it_makes(self, monkeypatch, key2048, end):
+        bn = CountingBn(modmath._BN)
+        monkeypatch.setattr(modmath, "_bn_chain", modmath._bind_bn_chain(bn))
+        n, e = key2048.public
+        seed, config, budget, tick = b"search-2048-d", FLAWED_256, 10_000_000, recording_tick([])
+        if end == "spent budget":
+            config, budget = UNLIKELY_256, 3000
+        elif end == "stop":
+            config, tick = UNLIKELY_256, recording_tick([], stop_at=2048)
+        elif end == "tick raises":
+            config, tick = UNLIKELY_256, failing_tick
+        if end == "tick raises":
+            with pytest.raises(RuntimeError, match="tick failed"):
+                forge._run_chain(n, e, 0x100, config, seed, 0, budget, tick)
+        else:
+            found = forge._run_chain(n, e, 0x100, config, seed, 0, budget, tick)
+            assert (found is not None) == (end == "hit")
+        # The modulus, k, y and the bound; the BN_CTX and the BN_MONT_CTX.
+        assert len(bn.made) == 6 and all(bn.made)
+        assert sorted(bn.freed) == sorted(bn.made)
 
 
 class TestHitProbability:

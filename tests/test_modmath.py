@@ -57,12 +57,14 @@ def test_mod_exp_rejects_bad_modulus():
         mod_exp(2, -1, 5)
 
 
-BN_MOD_EXP = modmath._bind_bn_mod_exp()
-needs_libcrypto = pytest.mark.skipif(BN_MOD_EXP is None, reason="libcrypto BN functions not loadable")
+BN = modmath._load_bn()
+BN_MOD_EXP = modmath._bind_bn_mod_exp(BN) if BN else None
+needs_libcrypto = pytest.mark.skipif(BN is None, reason="libcrypto BN functions not loadable")
 
 
 def test_key_pow_is_decided_at_import():
     assert (modmath._key_pow is pow) == (BN_MOD_EXP is None)
+    assert (modmath._bn_chain is None) == (BN is None)
 
 
 @st.composite
@@ -102,8 +104,8 @@ def no_library(path):
 
 @pytest.mark.parametrize("cdll", [no_library, lambda path: object()], ids=["no library", "no symbols"])
 def test_libcrypto_that_cannot_load_falls_back(monkeypatch, cdll):
-    monkeypatch.setattr(modmath.ctypes, "CDLL", cdll)
-    assert modmath._bind_bn_mod_exp() is None
+    monkeypatch.setattr(modmath.ctypes, "PyDLL", cdll)
+    assert modmath._load_bn() is None
 
 
 def test_keypair_deterministic():

@@ -54,6 +54,11 @@ def any_hash(tag=b"x"):
     return hashlib.sha256(tag).digest()
 
 
+# Byte values the strict walk compares against, and a few others.
+EDIT_BYTES = st.one_of(st.sampled_from([0x00, 0x01, 0x02, 0x04, 0x20, 0x30, 0x31, 0xFF]),
+                       st.integers(0, 255))
+
+
 class TestKnownExploitBlock:
     def test_transcription_shape(self):
         assert len(KNOWN_EXPLOIT_BLOCK) == BL
@@ -259,6 +264,37 @@ class TestClassify:
         stack = StackModel(post_bytes=b"\x55" * 0x200, calc_hash_offset=landing)
         assert flawed_parse(data, any_hash(), stack).verdict is Verdict.ACCEPT
 
+    @given(
+        seed=st.binary(min_size=1, max_size=8),
+        offset=st.integers(0, 127),
+        block_type=st.sampled_from([0x01, 0x02]),
+        edits=st.lists(st.tuples(st.integers(0, BL - 1), EDIT_BYTES), max_size=4),
+        follow_walk=st.booleans(),
+        window=st.one_of(st.just((BL, 128)), st.tuples(st.integers(0, BL + 300), st.integers(1, 300))),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_flawed_accept_implies_classify_landing(
+        self, seed, offset, block_type, edits, follow_walk, window
+    ):
+        # The search's soundness premise, the converse of the test above: a
+        # block the flawed parser accepts against a stack whose stored hash
+        # sits at L classifies as L whenever L is in the window.  Edited
+        # crafted blocks make accepts common; with `follow_walk` the hash is
+        # stored where the edited block's walk now lands.
+        block = bytearray(craft_exploit_plaintext(BL, BL + offset, seed))
+        block[1] = block_type
+        for pos, value in edits:
+            block[pos] = value
+        block = bytes(block)
+        stored_at = BL + offset
+        if follow_walk:
+            probe = StackModel(post_bytes=bytes(0x200), calc_hash_offset=stored_at)
+            stored_at = flawed_parse(block, any_hash(seed), probe).landing_offset or stored_at
+        stack = StackModel(post_bytes=bytes(range(256)) * 2, calc_hash_offset=stored_at)
+        config = ParserConfig.flawed(BL, window=range(window[0], window[0] + window[1]))
+        if flawed_parse(block, any_hash(seed), stack).is_accept and stored_at in config.target_window:
+            assert make_classifier(config)(block) == stored_at
+
 
 class TestStrictSubsetOfFlawed:
     @given(tag=st.binary(min_size=1, max_size=6))
@@ -274,9 +310,6 @@ class TestStrictSubsetOfFlawed:
         assert not strict_parse(KNOWN_EXPLOIT_BLOCK, any_hash()).is_accept
 
 
-# Byte values the strict walk compares against, and a few others.
-EDIT_BYTES = st.one_of(st.sampled_from([0x00, 0x01, 0x02, 0x04, 0x20, 0x30, 0x31, 0xFF]),
-                       st.integers(0, 255))
 BLOCK_EDITS = st.lists(
     st.one_of(
         st.tuples(st.just("set"), st.integers(0, 0x110), EDIT_BYTES),
