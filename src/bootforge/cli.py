@@ -29,6 +29,12 @@ class UsageError(Exception):
     pass
 
 
+def _checked_block_length(value: int) -> int:
+    if not 8 <= value <= modmath.MAX_BITS // 8:
+        raise UsageError(f"block_length must be in [8, {modmath.MAX_BITS // 8}]")
+    return value
+
+
 @dataclass
 class WorkspaceConfig:
     key_dir: Optional[Path] = None
@@ -46,7 +52,7 @@ class WorkspaceConfig:
         if "key_dir" in data:
             cfg.key_dir = Path(data["key_dir"])
         if "block_length" in data:
-            cfg.block_length = int(data["block_length"])
+            cfg.block_length = _checked_block_length(int(data["block_length"]))
         cfg.parser_mode = data.get("parser_mode", cfg.parser_mode)
         cfg.blacklist_policy = data.get("blacklist_policy", cfg.blacklist_policy)
         cfg.seed = data.get("seed", cfg.seed)
@@ -90,6 +96,13 @@ def _private_key(key_dir: Path, slot: str) -> modmath.RsaKeyPair:
     if key.d == 0:
         raise UsageError(f"key file for slot {slot} has no private exponent")
     return key
+
+
+def _block_length(args, config: WorkspaceConfig) -> int:
+    """--block-length, else the config's, else 0x100."""
+    if args.block_length is None:
+        return config.block_length or 0x100
+    return _checked_block_length(args.block_length)
 
 
 def _parse_window(spec: Optional[str]):
@@ -152,7 +165,7 @@ def _cmd_keygen(args, config: WorkspaceConfig) -> int:
 
 def _cmd_craft(args, config: WorkspaceConfig) -> int:
     seed = _require_seed(args, config)
-    block_length = args.block_length or config.block_length or 0x100
+    block_length = _block_length(args, config)
     block = forge.craft_exploit_plaintext(block_length, args.landing, seed)
     if args.out:
         Path(args.out).write_bytes(block)
@@ -198,7 +211,7 @@ def _cmd_forge_oracle(args, config: WorkspaceConfig) -> int:
 
 def _cmd_estimate(args, config: WorkspaceConfig) -> int:
     seed = _require_seed(args, config)
-    block_length = args.block_length or config.block_length or 0x100
+    block_length = _block_length(args, config)
     parser = ParserConfig.flawed(
         block_length, window=_parse_window(args.window), check_type_bytes=args.full_structure
     )

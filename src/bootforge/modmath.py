@@ -20,34 +20,24 @@ witness is still drawn before its round is decided, in the same order
 and number, so the same candidates are accepted and the keys do not
 change.
 
-`raw_sign` computes m**d mod n through the Chinese remainder theorem
-(Quisquater and Couvreur, 1982).  With n = p*q, dp = d mod (p - 1) and
-dq = d mod (q - 1), Fermat's little theorem gives m**d = m**dp mod p and
-m**d = m**dq mod q for every m, multiples of p and q included, because
-e*dp = 1 mod (p - 1) makes dp positive.  Garner's recombination with
-q**-1 mod p then yields the one residue mod n that has both, which is
-the same integer as the full modexp: the bytes do not change, only the
-cost, two half-size exponentiations instead of one full one.
-
-The factors come from `generate_keypair`, which drew them.  A key built
-from (n, e, d) alone, as `read_key_file` builds one, recovers them the
-first time it signs: e*d - 1 = 2**t * r is a multiple of lcm(p-1, q-1),
-so for a base g one of g**r, g**(2r), ... is a square root of 1, and a
-non-trivial one splits n through a gcd (NIST SP 800-56B, Appendix C;
-here g = 2, 3, ... in turn).  The result is kept on the key object, and
-recovery refuses a d that does not invert e modulo p - 1 and q - 1.
-Before a signature s is released, `raw_sign` checks s**e = m mod n, so a
-fault in the CRT path cannot leak a signature that would give away a
-factor (Boneh, DeMillo and Lipton, 1997).
+`raw_sign` computes m**d mod n in one exponentiation and checks s**e = m
+mod n before it releases s, so a fault in the exponentiation cannot leak
+a wrong signature (Boneh, DeMillo and Lipton, 1997).  That check alone
+would let d = 0 or 1 sign the fixed points 0, 1 and n - 1, so a key
+must also show 1 < d < n and g**(e*d) = g mod n for g = 2 and 3 before
+it signs; the answer is cached per key.  The check is probabilistic (an
+exact one needs the factors of n): a d that does not invert e modulo
+lcm(p - 1, q - 1) can pass it, but each signature it makes must still
+pass s**e = m.
 
 The exponentiations whose exponent is as long as the modulus go to the
 libcrypto that `hashlib` already links, through `ctypes`: a Miller-Rabin
-round's a**d modulo the candidate, the two CRT halves of `raw_sign` and
-the recovery's g**r.  OpenSSL's `BN_mod_exp` multiplies in Montgomery
-form (Montgomery, 1985) and is about 13x faster than builtin `pow` at
-1024 bits and 5x at 256 bits, with the same result.  Each call has its
-own `BN_CTX`, so forked search workers share no OpenSSL state.  Builtin
-`pow` keeps the rest, where the ctypes call overhead would cost more
+round's a**d modulo the candidate, and `raw_sign`'s m**d and its check
+of d.  OpenSSL's `BN_mod_exp` multiplies in Montgomery form (Montgomery,
+1985) and is about 13x faster than builtin `pow` at 1024 bits and 5x at
+256 bits, with the same result.  Each call has its own `BN_CTX`, so
+forked search workers share no OpenSSL state.  Builtin `pow` keeps the
+rest, where the ctypes call overhead would cost more
 than it saves: the round modulo a small divisor m (64 us against 115 us
 with a 1023-bit d), the public-exponent paths `raw_verify` and `mod_exp`
 with e = 3 or 65537 (at 512 bits, 2.3 us against 14 us with e = 3; with
@@ -80,13 +70,13 @@ with an even modulus, which Montgomery form cannot take.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .prng import ByteStream, derive_seed
 
@@ -279,22 +269,11 @@ def block_length_of(n: int) -> int:
     return (n.bit_length() + 7) // 8
 
 
-class _CrtKey(NamedTuple):
-    p: int
-    q: int
-    dp: int
-    dq: int
-    q_inv: int  # q**-1 mod p
-
-
 @dataclass(frozen=True)
 class RsaKeyPair:
     n: int
     e: int
     d: int
-    # The CRT form of d: set by `generate_keypair`, or by `_crt_key` the
-    # first time the key signs.  A cache, not part of the key's value.
-    _crt: _CrtKey | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def bit_length(self) -> int:
@@ -392,66 +371,26 @@ def generate_keypair(bit_length: int, seed: bytes | str, exponent: int = 65537) 
         lam = math.lcm(p - 1, q - 1)
         d = pow(exponent, -1, lam)
         assert n.bit_length() == bit_length
-        key = RsaKeyPair(n=n, e=exponent, d=d)
-        _keep_crt(key, p, q)
-        return key
+        return RsaKeyPair(n=n, e=exponent, d=d)
     raise RuntimeError("prime search exhausted after sub-seed retries")
 
 
-# Bases tried for a non-trivial square root of 1, as many as NIST's 100
-# tries.  For a valid key at least half of all bases split n.
-_RECOVERY_BASES = range(2, 102)
-
-
-def _keep_crt(key: RsaKeyPair, p: int, q: int) -> _CrtKey:
-    """Store on `key` the CRT form of d for n = p*q, if d inverts e for it."""
-    dp, dq = key.d % (p - 1), key.d % (q - 1)
-    if key.e * dp % (p - 1) != 1 or key.e * dq % (q - 1) != 1:
-        raise ValueError("private exponent does not invert e for this modulus")
-    crt = _CrtKey(p, q, dp, dq, pow(q, -1, p))
-    object.__setattr__(key, "_crt", crt)
-    return crt
-
-
-def _crt_key(key: RsaKeyPair) -> _CrtKey:
-    """The key's CRT form, recovering p and q from (n, e, d) on first use."""
-    if key._crt is not None:
-        return key._crt
-    n = key.n
-    k = key.e * key.d - 1
-    if k <= 0 or k % 2:
-        raise ValueError("private exponent does not invert e for this modulus")
-    t = (k & -k).bit_length() - 1
-    r = k >> t
-    for g in _RECOVERY_BASES:
-        if math.gcd(g, n) > 1:
-            continue  # only units satisfy g**(e*d - 1) = 1
-        y = _key_pow(g, r, n)
-        for _ in range(t):
-            if y in (1, n - 1):
-                break
-            x = y * y % n
-            if x == 1:
-                # y is a square root of 1 other than +-1: n divides (y-1)(y+1)
-                # but neither factor, so the gcd is a proper divisor.
-                p = math.gcd(y - 1, n)
-                return _keep_crt(key, p, n // p)
-            y = x
-        else:
-            # g**(e*d - 1) != 1, so e*d - 1 is no multiple of lcm(p-1, q-1).
-            raise ValueError("private exponent does not invert e for this modulus")
-    raise ValueError("no factor of the modulus found from (n, e, d)")
+@functools.lru_cache(maxsize=128)
+def _can_sign(key: RsaKeyPair) -> bool:
+    """Whether 1 < d < n and g**(e*d) = g mod n for g = 2 and 3: a
+    probabilistic check that d inverts e, kept for the last 128 keys."""
+    return 1 < key.d < key.n and all(_key_pow(g, key.e * key.d, key.n) == g for g in (2, 3))
 
 
 def raw_sign(m: int, key: RsaKeyPair) -> int:
-    """m**d mod n by CRT, checked by s**e = m.  Requires 0 <= m < n."""
+    """m**d mod n, checked by s**e = m.  Requires 0 <= m < n."""
     if not 0 <= m < key.n:
         raise ValueError("message representative out of range")
-    p, q, dp, dq, q_inv = _crt_key(key)
-    s_q = _key_pow(m, dq, q)
-    s = s_q + (_key_pow(m, dp, p) - s_q) * q_inv % p * q
+    if not _can_sign(key):
+        raise ValueError("private exponent does not invert e for this modulus")
+    s = _key_pow(m, key.d, key.n)
     if raw_verify(s, key.public) != m:
-        raise ValueError("CRT signature failed its s**e = m check")
+        raise ValueError("signature failed its s**e = m check")
     return s
 
 
@@ -491,9 +430,21 @@ def parse_slot_label(label: str) -> tuple[Console, SignatureType]:
         raise ValueError(f"unknown key slot {label!r}") from None
 
 
+# RSA uses e = 3 or 65537.  At 4096 bits, a verify with a 4096-bit e takes
+# about 0.2 s of CPU, 500 times one with e = 65537.
+_MAX_E_BITS = 64
+
+
 def _checked_public(pub: tuple[int, int]) -> tuple[int, int]:
+    """(n, e) if n is odd with MIN_BITS to MAX_BITS bits and e is odd with
+    1 < e < n and at most _MAX_E_BITS bits, as every RSA public key is."""
     n, e = pub
-    if n <= 1 or e <= 1:
+    if not (
+        MIN_BITS <= n.bit_length() <= MAX_BITS
+        and 1 < e < n
+        and e.bit_length() <= _MAX_E_BITS
+        and n & e & 1
+    ):
         raise ValueError("public key values out of range")
     return n, e
 

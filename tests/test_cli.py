@@ -377,6 +377,31 @@ class TestUsageErrors:
     def test_missing_file(self, workspace, key_dir):
         assert main(["verify", "--image", "missing.firm", "--key-dir", str(key_dir)]) == 2
 
+    @pytest.mark.parametrize("block_length", [0, 7, 513, 1 << 30])
+    def test_config_block_length_out_of_range(self, workspace, block_length, capsys):
+        config = workspace / "config.json"
+        config.write_text(json.dumps({"block_length": block_length}))
+        assert main(["--config", str(config), "keygen", "--seed", SEED, "--key-dir", "k"]) == 2
+        assert "block_length must be in [8, 512]" in capsys.readouterr().err
+        assert not Path("k").exists()
+
+    @pytest.mark.parametrize("block_length", ["0", "7", "513", "0x40000000"])
+    def test_craft_block_length_out_of_range(self, workspace, block_length, capsys):
+        argv = ["craft", "--block-length", block_length, "--landing", "0x100", "--seed", SEED]
+        assert main(argv) == 2
+        assert "block_length must be in [8, 512]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block_length", ["0", "7", "513", "0x40000000"])
+    def test_estimate_block_length_out_of_range(self, workspace, block_length, capsys):
+        argv = ["estimate", "--block-length", block_length, "--samples", "100000", "--seed", SEED]
+        assert main(argv) == 2
+        assert "block_length must be in [8, 512]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block_length", ["8", "512"])
+    def test_estimate_block_length_edges(self, workspace, block_length):
+        argv = ["estimate", "--block-length", block_length, "--samples", "100000", "--seed", SEED]
+        assert main(argv) == 0
+
 
 def test_config_file_supplies_defaults(workspace, key_dir, capsys):
     config = workspace / "config.json"

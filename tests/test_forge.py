@@ -16,6 +16,7 @@ import time
 import tracemalloc
 import types
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -576,7 +577,56 @@ class TestHitProbability:
         assert peak < 16 * 2**20
 
 
+# The classifier compares each byte after the flag bytes only with 0x00
+# (the terminator), 0x30 and 0x04 (the type bytes), except the inner length
+# byte at t + 4, whose value steers the landing.  So one value, 0x01, can
+# stand for the 253 others, and only the byte at t + 4 takes all 256 values.
+BYTE_CLASSES = ((0x00, 1), (0x30, 1), (0x04, 1), (0x01, 253))
+
+
+def weighted_tails(block_length):
+    """The bytes at offsets 2 .. block_length - 1 of every class pattern, with
+    the byte at t + 4 spelled out, as (bytes, number of blocks it stands for)."""
+    tails = [(b"", 1, None)]  # (bytes so far, weight, terminator offset t)
+    for offset in range(2, block_length):
+        grown = []
+        for tail, weight, t in tails:
+            spelled_out = t is not None and offset == t + 4
+            for value, w in [(v, 1) for v in range(256)] if spelled_out else BYTE_CLASSES:
+                first_zero = offset if t is None and value == 0 else t
+                grown.append((tail + bytes([value]), weight * w, first_zero))
+        tails = grown
+    return [(tail, weight) for tail, weight, _ in tails]
+
+
 class TestExactHitProbability:
+    @pytest.fixture(scope="class")
+    def tails8(self):
+        tails = weighted_tails(8)
+        assert sum(weight for _, weight in tails) == 256**6
+        return tails
+
+    @pytest.mark.parametrize("check_type_bytes", [False, True], ids=["walk", "type bytes"])
+    @pytest.mark.parametrize(
+        "window", [None, range(8, 11), range(12, 200)], ids=["default", "[bl, bl+3)", "[12, 200)"]
+    )
+    def test_matches_every_eight_byte_block(self, tails8, window, check_type_bytes):
+        # The flag bytes: 00 or another value (255 of them) first, then each
+        # block type or another value.
+        config = ParserConfig.flawed(8, window=window, check_type_bytes=check_type_bytes)
+        types = sorted(config.block_types)
+        other = min(set(range(256)) - config.block_types)
+        flags = [
+            (bytes([first, second]), w1 * w2)
+            for first, w1 in ((0x00, 1), (0x01, 255))
+            for second, w2 in [(t, 1) for t in types] + [(other, 256 - len(types))]
+        ]
+        classify = make_classifier(config)
+        hits = sum(
+            w1 * w2 for head, w1 in flags for tail, w2 in tails8 if classify(head + tail) is not None
+        )
+        assert Fraction(exact_hit_probability(8, config)) == Fraction(hits, 256**8)
+
     def test_prefix_only_is_the_flag_byte_share(self):
         for types in ({0x02}, {0x01, 0x02}, {0x00, 0x01, 0x02, 0xFF}):
             config = ParserConfig(block_types=frozenset(types), require_walk=False)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from bootforge import modmath
 from bootforge.modmath import (
+    MAX_BITS,
+    MIN_BITS,
+    REGISTRY_SLOTS,
     Console,
     KeyRegistry,
     RsaKeyPair,
@@ -18,6 +22,7 @@ from bootforge.modmath import (
     raw_verify,
     read_key_file,
     read_registry,
+    slot_label,
     to_fixed_bytes,
     write_key_file,
     write_registry,
@@ -305,13 +310,12 @@ def test_raw_sign_fixed_points(key512):
     assert raw_sign(key512.n - 1, key512) == key512.n - 1
 
 
-CRT_KEY_NAMES = ["64", "256-e3", "512", "512-alt", "2048"]
+SIGN_KEY_NAMES = ["64", "256-e3", "512", "512-alt", "2048"]
 
 
 @pytest.fixture(scope="module")
-def crt_keys(key512, key512_alt):
-    """Generated keys, which carry their factors, each paired with the same
-    (n, e, d) built bare, which recovers them when it first signs."""
+def sign_keys(key512, key512_alt):
+    """Generated keys, each paired with the same (n, e, d) built bare."""
     keys = {
         "64": generate_keypair(64, b"crt 64"),
         "256-e3": generate_keypair(256, b"e3 seed", exponent=3),
@@ -322,40 +326,24 @@ def crt_keys(key512, key512_alt):
     return {name: (key, RsaKeyPair(key.n, key.e, key.d)) for name, key in keys.items()}
 
 
-@pytest.mark.parametrize("name", CRT_KEY_NAMES)
+@pytest.mark.parametrize("name", SIGN_KEY_NAMES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_crt_sign_is_the_full_modexp(crt_keys, name, data):
-    key, bare = crt_keys[name]
-    p, q = key._crt.p, key._crt.q
-    m = data.draw(
-        st.one_of(
-            st.sampled_from([0, 1, key.n - 1, p, q]),
-            st.integers(1, q - 1).map(lambda k: k * p),
-            st.integers(1, p - 1).map(lambda k: k * q),
-            st.integers(0, key.n - 1),
-        )
-    )
+def test_raw_sign_is_the_full_modexp(sign_keys, name, data):
+    key, bare = sign_keys[name]
+    m = data.draw(st.one_of(st.sampled_from([0, 1, key.n - 1]), st.integers(0, key.n - 1)))
     assert raw_sign(m, key) == raw_sign(m, bare) == pow(m, key.d, key.n)
 
 
-@pytest.mark.parametrize("name", CRT_KEY_NAMES)
-def test_key_file_factors_are_the_generated_ones(tmp_path, crt_keys, name):
-    key, _ = crt_keys[name]
-    half = key.bit_length // 2
-    # generate_keypair forces each prime's top bit.
-    assert key._crt.p * key._crt.q == key.n
-    assert key._crt.p.bit_length() == key._crt.q.bit_length() == half
+@pytest.mark.parametrize("name", SIGN_KEY_NAMES)
+def test_key_file_round_trip_signs_the_same_bytes(tmp_path, sign_keys, name):
+    key, _ = sign_keys[name]
     path = tmp_path / "k.key"
     write_key_file(path, key)
     loaded = read_key_file(path)
-    assert loaded._crt is None  # recovered only when the key first signs
-    raw_sign(2, loaded)
-    recovered = loaded._crt
-    assert {recovered.p, recovered.q} == {key._crt.p, key._crt.q}
-    raw_sign(3, loaded)
-    assert loaded._crt is recovered  # at most once per key object
     assert loaded == key and hash(loaded) == hash(key) and repr(loaded) == repr(key)
+    messages = [0, 1, 2, key.n - 1, key.n // 3]
+    assert [raw_sign(m, loaded) for m in messages] == [raw_sign(m, key) for m in messages]
 
 
 @pytest.mark.parametrize(
@@ -376,12 +364,11 @@ def test_raw_sign_refuses_a_private_exponent_that_cannot_sign(key512, bad_d, m):
         raw_sign(m % key.n, key)
 
 
-def test_raw_sign_checks_the_crt_result(key512):
-    p, q, dp, dq, q_inv = key512._crt
-    bad = RsaKeyPair(key512.n, key512.e, key512.d)
-    object.__setattr__(bad, "_crt", modmath._CrtKey(p, q, dp + 1, dq, q_inv))
+def test_raw_sign_checks_the_signature(monkeypatch, key512):
+    raw_sign(2, key512)  # the once-per-key check of d runs on the real exponentiation
+    monkeypatch.setattr(modmath, "_key_pow", lambda m, d, n: (pow(m, d, n) + 1) % n)
     with pytest.raises(ValueError, match="s\\*\\*e"):
-        raw_sign(12345, bad)
+        raw_sign(12345, key512)
 
 
 def test_raw_sign_verify_roundtrip(key512):
@@ -486,3 +473,77 @@ def test_registry_file_requires_all_slots(tmp_path, registry):
     path.write_text("\n".join(lines[:5]) + "\n")
     with pytest.raises(ValueError):
         read_registry(path)
+
+
+def odd_of_bits(lo, hi):
+    """An odd integer whose bit length is drawn from [lo, hi]."""
+    return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)).map(
+        lambda v: v | 1
+    )
+
+
+RSA_E = st.sampled_from([3, 65537])
+FAIR_N = odd_of_bits(MIN_BITS, MAX_BITS)
+
+
+@st.composite
+def hostile_public_values(draw):
+    """An (n, e) that no RSA public key has: n oversized, undersized or even,
+    or e degenerate, even, at least n, or longer than 64 bits."""
+    n = draw(FAIR_N)
+    return draw(st.one_of(
+        st.tuples(odd_of_bits(MAX_BITS + 1, 4 * MAX_BITS), RSA_E),
+        st.tuples(st.integers(0, (1 << (MIN_BITS - 1)) - 1), RSA_E),
+        st.tuples(st.just(n & ~1), RSA_E),
+        st.tuples(st.just(n), st.sampled_from([0, 1, n, n + 2])),
+        st.tuples(st.just(n), st.integers(1, min(n, 1 << 64) // 2).map(lambda k: 2 * k)),
+        st.tuples(st.just(n), odd_of_bits(65, max(65, n.bit_length()))),
+    ))
+
+
+def refused_quickly(load):
+    start = time.process_time()
+    with pytest.raises(ValueError, match="public key values out of range"):
+        load()
+    # An accepted 16384-bit key would cost seconds in its first verify.
+    assert time.process_time() - start < 0.5
+
+
+@settings(max_examples=150, deadline=None)
+@given(pub=hostile_public_values(), slot=st.sampled_from(REGISTRY_SLOTS))
+@example(pub=((1 << (4 * MAX_BITS)) - 1, 65537), slot=REGISTRY_SLOTS[0]).via("a 16384-bit n")
+@example(pub=((1 << 4095) + 1, (1 << 4095) - 1), slot=REGISTRY_SLOTS[5]).via("a 4095-bit e")
+def test_hostile_key_material_is_refused(tmp_path_factory, registry, pub, slot):
+    n, e = pub
+    assert not (MIN_BITS <= n.bit_length() <= MAX_BITS and 1 < e < n
+                and e.bit_length() <= 64 and n & e & 1)
+    work = tmp_path_factory.mktemp("hostile")
+    key_path = work / "hostile.key"
+    key_path.write_text(f"n={n:x}\ne={e:x}\n")
+    refused_quickly(lambda: read_key_file(key_path))
+    registry_path = work / "registry.txt"
+    registry_path.write_text("".join(
+        f"{slot_label(*other)}={n:x}:{e:x}\n" if other == slot
+        else f"{slot_label(*other)}={registry.get(*other)[0]:x}:{registry.get(*other)[1]:x}\n"
+        for other in REGISTRY_SLOTS
+    ))
+    refused_quickly(lambda: read_registry(registry_path))
+    refused_quickly(lambda: KeyRegistry().assign(*slot, pub))
+
+
+@pytest.mark.parametrize(
+    "pub",
+    [
+        ((1 << 63) + 1, 3),
+        ((1 << MAX_BITS) - 1, 65537),
+        ((1 << MAX_BITS) - 1, (1 << 64) - 1),
+        ((1 << 63) + 1, (1 << 63) - 1),
+    ],
+    ids=["64-bit n", "4096-bit n", "64-bit e", "e = n - 2"],
+)
+def test_public_key_bounds_are_inclusive(tmp_path, pub):
+    n, e = pub
+    path = tmp_path / "edge.key"
+    path.write_text(f"n={n:x}\ne={e:x}\n")
+    assert read_key_file(path).public == pub
+    KeyRegistry().assign(Console.RETAIL, SignatureType.NAND_BOOT, pub)
