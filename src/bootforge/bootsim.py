@@ -812,7 +812,7 @@ class Machine:
             yield
             raise self._end(BootOutcome.SHUTDOWN, "power_off")
         elif tag == TAG_STAGE2_ARM9:
-            yield from self._chain_load()
+            yield from self._load_chain()
         elif tag == TAG_STAGE2_INSTALL:
             nand_len, sd_len = fields
             if max(nand_len, sd_len) > INSTALL_FIELD_MAX:
@@ -830,7 +830,7 @@ class Machine:
             yield
             raise self._end(BootOutcome.SHUTDOWN, "power_off")
 
-    def _chain_load(self):
+    def _load_chain(self):
         content = self.sd_store.get(SD_CHAIN_NAME)
         if content is None:
             raise self._end(BootOutcome.FAILURE, "chain_missing")

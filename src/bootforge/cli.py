@@ -105,14 +105,17 @@ def _block_length(args, config: WorkspaceConfig) -> int:
     return _checked_block_length(args.block_length)
 
 
-def _parse_window(spec: Optional[str]):
+def _parse_window(spec: Optional[str], block_length: int):
+    """--window LO:HI as a range clipped to [0, block_length + 257]: a walk
+    lands at t + 7 + L with t <= block_length - 5 and L <= 255."""
     if spec is None:
         return None
     lo, _, hi = spec.partition(":")
     try:
-        return range(int(lo, 0), int(hi, 0) + 1)
+        lo, hi = int(lo, 0), int(hi, 0)
     except ValueError:
         raise UsageError("--window expects LO:HI") from None
+    return range(max(lo, 0), min(hi, block_length + 257) + 1)
 
 
 def _values(enum) -> list[str]:
@@ -150,7 +153,7 @@ def _cmd_keygen(args, config: WorkspaceConfig) -> int:
     seed = _require_seed(args, config)
     key_dir = _key_dir(args, config)
     key_dir.mkdir(parents=True, exist_ok=True)
-    bits = args.bits or config.block_length and config.block_length * 8 or 512
+    bits = (config.block_length or 64) * 8 if args.bits is None else args.bits
     exponent = 3 if args.e3 else 65537
     registry = KeyRegistry()
     for console, sig_type in REGISTRY_SLOTS:
@@ -179,9 +182,8 @@ def _cmd_forge(args, config: WorkspaceConfig) -> int:
     registry = _load_registry(key_dir)
     console, sig_type = modmath.parse_slot_label(args.slot)
     pub = registry.get(console, sig_type)
-    parser = ParserConfig.flawed(
-        registry.block_length(console, sig_type), window=_parse_window(args.window)
-    )
+    block_length = registry.block_length(console, sig_type)
+    parser = ParserConfig.flawed(block_length, window=_parse_window(args.window, block_length))
     try:
         result = forge.brute_force_search(
             pub, parser, args.workers, seed, args.max_attempts, progress=sys.stdout
@@ -213,7 +215,9 @@ def _cmd_estimate(args, config: WorkspaceConfig) -> int:
     seed = _require_seed(args, config)
     block_length = _block_length(args, config)
     parser = ParserConfig.flawed(
-        block_length, window=_parse_window(args.window), check_type_bytes=args.full_structure
+        block_length,
+        window=_parse_window(args.window, block_length),
+        check_type_bytes=args.full_structure,
     )
     estimate = forge.estimate_hit_probability(block_length, parser, args.samples, seed)
     print(json.dumps(estimate.to_json_dict(), indent=2))

@@ -12,12 +12,11 @@ walk to a chosen landing offset:
   without ever computing a root.  Each step also tests n - y, because
   with odd e the signature of n - y is simply n - r^z; that negation
   check costs a subtraction instead of a multiplication and nearly
-  doubles throughput.  From `_BN_CHAIN_MIN_BITS` up, with an odd n and
-  libcrypto loaded, the chain steps on OpenSSL bignums by one Montgomery
-  product (see `modmath`) and converts only candidates, the values whose
-  top byte or whose negation's top byte is zero, back to `int`; below
-  that, or without libcrypto, it steps in CPython.  Both steps give the
-  same values, so the attempt sequence and the hits do not depend on
+  doubles throughput.  With libcrypto loaded, the chain steps on OpenSSL
+  bignums by one Montgomery product (see `modmath`) and converts only
+  candidates, the values whose top byte or whose negation's top byte is
+  zero, back to `int`; without it, it steps in CPython.  Both steps give
+  the same values, so the attempt sequence and the hits do not depend on
   which one ran.
 
 `estimate_hit_probability` measures the probability that a uniformly
@@ -79,15 +78,6 @@ _PREFERRED_INNER_LEN = 0x1A
 _ESTIMATE_DRAW_BYTES = 1 << 20  # random bytes per estimator draw
 
 _TICK_MASK = 0x3FF  # a chain calls its tick every 1024 steps
-
-# The smallest modulus whose chain steps in libcrypto.  Two sets of
-# seeded searches with both steps (2-CPU Xeon, `time.process_time`,
-# medians of 5 and of 9) ran the libcrypto step 1.1-1.5x as fast at 512
-# to 704 bits, 1.7-2.0x at 768, 2.2-2.4x at 1024 and 4.8-5.1x at 2048.
-# An earlier prototype of the step lost 7-13% at 512 bits, tied at 576
-# and won 15% at 640: the libcrypto step starts where both gained, and
-# 512-bit searches keep the CPython step.
-_BN_CHAIN_MIN_BITS = 640
 
 _STOP_GRACE_S = 1.0  # time a worker gets to see the stop flag before it is terminated
 
@@ -216,31 +206,6 @@ def _classify_pair(classify, y: int, n: int, top: int, block_length: int):
     return None
 
 
-def _python_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
-    """The chain y <- y*k mod n from y = 1 in CPython, for `steps` steps.
-
-    After step z it yields (z, y) when y or n - y is below 2**top_bits,
-    and then (z, None) when z & tick_mask is 0, as `modmath._bn_chain` does.
-    """
-    top = 1 << top_bits
-    bottom = n - top
-    y = 1
-    for z in range(1, steps + 1):
-        y = y * k % n
-        if y < top or y > bottom:
-            yield z, y
-        if z & tick_mask == 0:
-            yield z, None
-
-
-def _chain(k: int, n: int, top_bits: int, steps: int):
-    """The search chain, stepped by libcrypto's Montgomery product from
-    `_BN_CHAIN_MIN_BITS` up when it is loaded and n is odd, else in CPython."""
-    if modmath._bn_chain is not None and n & 1 and n.bit_length() >= _BN_CHAIN_MIN_BITS:
-        return modmath._bn_chain(k, n, top_bits, steps, _TICK_MASK)
-    return _python_chain(k, n, top_bits, steps, _TICK_MASK)
-
-
 def _run_chain(
     n: int,
     e: int,
@@ -272,7 +237,7 @@ def _run_chain(
     started = time.perf_counter()
     z = 0
     hit = None
-    with contextlib.closing(_chain(k, n, top_bits, steps)) as chain:
+    with contextlib.closing(modmath._chain(k, n, top_bits, steps, _TICK_MASK)) as chain:
         for z, y in chain:
             if y is None:
                 if tick(2 * z):
@@ -384,19 +349,21 @@ def brute_force_search(
     last step while 2 * (z - 1) < its budget, so an odd budget ends one
     attempt past it: `max_attempts=1` makes 2.  With worker_count == 1
     the search runs inline and the attempt sequence is a pure function of
-    the seed.  Either way
-    `progress` gets at most one line a second.  A config that cannot hit
-    is a ValueError before any chain runs.  Returns None when every
-    worker spent its budget; raises SearchWorkerError when a worker died
-    without a result and none found a hit.  A worker's death stops its
-    peers at once, and so does a SIGTERM to the parent (see
-    `_sigterm_raises`) before the parent ends by it.
+    the seed.  Either way `progress` gets at most one line a second.  A
+    config that cannot hit, or an even modulus, is a ValueError before any
+    chain runs.  Returns None when every worker spent its budget; raises
+    SearchWorkerError when a worker died without a result and none found
+    a hit.  A worker's death stops its peers at once, and so does a
+    SIGTERM to the parent (see `_sigterm_raises`) before the parent ends
+    by it.
     """
     n, e = pub
     if not 1 <= worker_count <= MAX_WORKERS:
         raise ValueError(f"worker_count must be 1 to {MAX_WORKERS}, not {worker_count}")
     if n.bit_length() < 16:
         raise ValueError("modulus too small to search against")
+    if not n & 1:
+        raise ValueError("modulus must be odd, as every RSA modulus is")
     block_length = block_length_of(n)
     if exact_hit_probability(block_length, config) == 0:
         raise ValueError(f"the parser config cannot hit a {block_length}-byte block")

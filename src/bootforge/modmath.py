@@ -45,16 +45,17 @@ e = 65537, 20 us against 15 us, a saving too small to show in a boot)
 and the rounds' squarings.
 
 The search chain y <- y*k mod n (see `forge`) steps on libcrypto
-bignums at large moduli.  With R the Montgomery radix, k*R mod n is
-computed once (`BN_to_montgomery`); then each step is one
+bignums.  With R the Montgomery radix, k*R mod n is computed once
+(`BN_to_montgomery`); then each step is one
 `BN_mod_mul_montgomery(y, y, k*R)`, which gives y*k*R*R**-1 = y*k mod n
 in normal form, with no division and no conversion.  A step tests its
 value against the candidate bound with `BN_num_bits` and `BN_cmp`, and
 only candidates, about 1% of the steps, come back as `int`.  A 2048-bit
 step with its test took 3.4 us against 18.8 us for CPython's
-`y * k % n` (2-CPU Xeon, medians of 15 loops of 20000 steps), a 512-bit
-one 2.1 us against 2.0 us; `forge._BN_CHAIN_MIN_BITS` holds the size
-cut-off measured on whole searches, under which the CPython step stays.
+`y * k % n` (2-CPU Xeon, medians of 15 loops of 20000 steps), and a
+512-bit one 1.83 us against 1.92 us (medians of 12 loops of 300000
+steps); single-worker 512-bit searches ran 1.19 M attempts/s against
+1.04 M/s (medians of 8 alternated 4M-attempt searches).
 Every OpenSSL object of a chain is made inside it, so after a search
 worker forks, and freed however the chain ends.
 
@@ -63,8 +64,9 @@ each call; a `CDLL` releases and re-takes it on every call, which made
 those steps 3.8 us instead of 3.4 us at 2048 bits and 2.5 us instead of
 2.1 us at 512.  If `_hashlib` or one of the BN functions cannot be
 loaded, the key-length exponentiations use builtin `pow` and the chain
-steps in CPython at every size, decided once at import; so does a chain
-with an even modulus, which Montgomery form cannot take.
+steps in CPython (`_python_chain`), decided once at import.  Montgomery
+form cannot take an even modulus, and no RSA modulus is even, so the
+search refuses one.
 """
 
 from __future__ import annotations
@@ -190,19 +192,36 @@ def _bind_bn_mod_exp(bn):
     return key_pow
 
 
-def _bind_bn_chain(bn):
+def _python_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
+    """The chain y <- y*k mod n from y = 1 in CPython, for `steps` steps.
+
+    After step z it yields (z, y) when y or n - y is below 2**top_bits,
+    and then (z, None) when z & tick_mask is 0, as the libcrypto step does.
+    """
+    top = 1 << top_bits
+    bottom = n - top
+    y = 1
+    for z in range(1, steps + 1):
+        y = y * k % n
+        if y < top or y > bottom:
+            yield z, y
+        if z & tick_mask == 0:
+            yield z, None
+
+
+def _bind_montgomery_chain(bn):
     """The chain y <- y*k mod n from y = 1, stepped by Montgomery
     multiplication on libcrypto bignums (see the module docstring).
 
-    bn_chain(k, n, top_bits, steps, tick_mask) runs `steps` steps for an odd
-    n > 1 and 0 <= k < n.  After step z it yields (z, y) when y or n - y is
-    below 2**top_bits, which must be less than n, and then (z, None) when
-    z & tick_mask is 0.  Every OpenSSL object is made when the generator
-    starts and freed when it ends or is closed.
+    montgomery_chain(k, n, top_bits, steps, tick_mask) runs `steps` steps
+    for an odd n > 1 and 0 <= k < n.  After step z it yields (z, y) when y
+    or n - y is below 2**top_bits, which must be less than n, and then
+    (z, None) when z & tick_mask is 0.  Every OpenSSL object is made when
+    the generator starts and freed when it ends or is closed.
     """
     mul, num_bits, cmp = bn.BN_mod_mul_montgomery, bn.BN_num_bits, bn.BN_cmp
 
-    def bn_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
+    def montgomery_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
         size = (n.bit_length() + 7) // 8
         ctx, mont = bn.BN_CTX_new(), bn.BN_MONT_CTX_new()
         nums = [_bn_from_int(bn, v) for v in (n, k, 1, n - (1 << top_bits))]
@@ -234,14 +253,14 @@ def _bind_bn_chain(bn):
             bn.BN_MONT_CTX_free(mont)  # a no-op on NULL, as are the others
             bn.BN_CTX_free(ctx)
 
-    return bn_chain
+    return montgomery_chain
 
 
 # Decided once, at import: pow for exponents as long as the modulus, and
-# the search chain's libcrypto step, or None (see the module docstring).
+# the search chain's step (see the module docstring).
 _BN = _load_bn()
 _key_pow = _bind_bn_mod_exp(_BN) if _BN else pow
-_bn_chain = _bind_bn_chain(_BN) if _BN else None
+_chain = _bind_montgomery_chain(_BN) if _BN else _python_chain
 
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:

@@ -55,6 +55,11 @@ class TestKeygen:
     def test_seed_required(self, workspace):
         assert main(["keygen", "--key-dir", "nokeys"]) == 2
 
+    def test_zero_bits_is_refused(self, workspace, capsys):
+        assert main(["keygen", "--bits", "0", "--seed", SEED, "--key-dir", "k"]) == 2
+        assert "bit_length must be" in capsys.readouterr().err
+        assert [p.name for p in Path("k").glob("*")] == []
+
     def test_seed_must_be_32_bytes(self, workspace):
         assert main(["keygen", "--seed", "abcd", "--key-dir", "k"]) == 2
         assert main(["keygen", "--seed", "zz" * 32, "--key-dir", "k"]) == 2
@@ -326,6 +331,21 @@ class TestEstimateCommand:
         assert rc == 0
         assert seen[0].target_window == {64}
         assert seen[0].check_type_bytes
+
+    def test_wide_window_is_clipped_to_the_reachable_offsets(self, workspace, monkeypatch):
+        # No walk lands past t + 7 + 255 with t <= bl - 5, that is bl + 257.
+        seen = []
+
+        def capture(block_length, config, samples, seed):
+            seen.append(config)
+            return forge.HitProbability(0, samples, 0.0, 0.0, 1.0)
+
+        monkeypatch.setattr(forge, "estimate_hit_probability", capture)
+        rc = main(
+            ["estimate", "--block-length", "64", "--window", "0:0x7fffffff", "--seed", SEED]
+        )
+        assert rc == 0
+        assert seen[0].target_window == frozenset(range(0, 322))
 
 
 class TestExploitCommands:

@@ -55,7 +55,7 @@ FLAWED_256 = ParserConfig.flawed(0x100)
 UNLIKELY_256 = ParserConfig.flawed(0x100, window=[0x100], check_type_bytes=True)
 
 needs_bn_chain = pytest.mark.skipif(
-    modmath._bn_chain is None, reason="libcrypto BN functions not loadable"
+    modmath._BN is None, reason="libcrypto BN functions not loadable"
 )
 
 
@@ -247,6 +247,19 @@ class TestBruteForceSearch:
             brute_force_search(key512.public, config, workers, b"s", 50_000_000)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_even_modulus_is_refused_before_any_chain(self, key512, monkeypatch, workers):
+        # Montgomery form cannot take an even modulus, and no RSA modulus is one.
+        def refuse(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(forge, "_run_chain", refuse)
+        monkeypatch.setattr(forge, "_worker_main", refuse)
+        monkeypatch.setattr(modmath, "_chain", refuse)
+        with pytest.raises(ValueError, match="modulus must be odd"):
+            brute_force_search((key512.n + 1, key512.e), FLAWED_64, workers, b"s", 50_000_000)
+        assert multiprocessing.active_children() == []
+
     def test_crashed_worker_is_an_error_not_exhaustion(self, key512, monkeypatch):
         monkeypatch.setattr(forge, "_worker_main", crash_worker)
         with pytest.raises(SearchWorkerError, match="worker 0 exited with code 9") as info:
@@ -410,42 +423,35 @@ class TestChain:
     @example(operands=(3, (1 << 4095) + 3, 4094, 30, 0))
     def test_libcrypto_chain_yields_the_python_steps(self, operands):
         expected = reference_chain(*operands)
-        assert list(modmath._bn_chain(*operands)) == expected
-        assert list(forge._python_chain(*operands)) == expected
+        assert list(modmath._chain(*operands)) == expected
+        assert list(modmath._python_chain(*operands)) == expected
 
     @pytest.mark.parametrize(
-        "bits, odd, step",
-        [(512, True, "_python_chain"), (2048, False, "_python_chain"), (2048, True, "bn_chain")],
-    )
-    def test_step_is_selected_by_size_and_parity(self, bits, odd, step):
-        n = (1 << (bits - 1)) + 2 + odd
-        if modmath._bn_chain is None:
-            step = "_python_chain"
-        chain = forge._chain(3, n, bits - 8, 10)
-        assert chain.__name__ == step
-        assert list(chain) == reference_chain(3, n, bits - 8, 10, forge._TICK_MASK)
-
-    @pytest.mark.parametrize(
-        "seed, attempts, landing_offset, negated, signature_sha256",
+        "bits, seed, attempts, landing_offset, negated, signature_sha256",
         [
-            (b"search-2048-a", 76016, 273, True,
+            (512, b"search-512-a", 103164, 89, True,
+             "ec82212538c9d07a54acecd4be6ade3b73ac325bc8357287f7e63d9fc16fae84"),
+            (2048, b"search-2048-a", 76016, 273, True,
              "dbc05edec23e8a782d32536345099464e222af787ecd64cf48c2a4609b53fe7f"),
-            (b"search-2048-d", 13292, 377, False,
+            (2048, b"search-2048-d", 13292, 377, False,
              "db4914581c6c15e0e7d9fd9ee802ade9a2e665eeb5ae5f035c8fc6ebf63846bf"),
         ],
     )
-    def test_search_is_pinned_at_2048_bits(
-        self, monkeypatch, key2048, seed, attempts, landing_offset, negated, signature_sha256
+    def test_search_is_pinned(
+        self, monkeypatch, key512, key2048, bits, seed, attempts, landing_offset, negated,
+        signature_sha256,
     ):
         # The values the CPython step gives; the libcrypto step must give them too.
-        result = brute_force_search(key2048.public, FLAWED_256, 1, seed, 10_000_000)
+        key, config = (key512, FLAWED_64) if bits == 512 else (key2048, FLAWED_256)
+        result = brute_force_search(key.public, config, 1, seed, 10_000_000)
         assert (result.attempts, result.landing_offset, result.negated) == (
             attempts, landing_offset, negated
         )
         assert hashlib.sha256(result.signature_bytes()).hexdigest() == signature_sha256
-        assert raw_verify(result.signature, key2048.public) == from_fixed_bytes(result.plaintext)
-        monkeypatch.setattr(modmath, "_bn_chain", None)  # the fallback when libcrypto is missing
-        on_python = brute_force_search(key2048.public, FLAWED_256, 1, seed, 10_000_000)
+        assert raw_verify(result.signature, key.public) == from_fixed_bytes(result.plaintext)
+        # The fallback when libcrypto is missing.
+        monkeypatch.setattr(modmath, "_chain", modmath._python_chain)
+        on_python = brute_force_search(key.public, config, 1, seed, 10_000_000)
         assert replace(on_python, elapsed=0) == replace(result, elapsed=0)
 
     @needs_bn_chain
@@ -456,8 +462,8 @@ class TestChain:
             calls.append(args)
             return bn_chain(*args)
 
-        bn_chain = modmath._bn_chain
-        monkeypatch.setattr(modmath, "_bn_chain", spy)
+        bn_chain = modmath._chain
+        monkeypatch.setattr(modmath, "_chain", spy)
         ticks = []
         n, e = key2048.public
         assert forge._run_chain(
@@ -482,7 +488,7 @@ class TestChain:
     @pytest.mark.parametrize("end", ["hit", "spent budget", "stop", "tick raises"])
     def test_libcrypto_chain_frees_what_it_makes(self, monkeypatch, key2048, end):
         bn = CountingBn(modmath._BN)
-        monkeypatch.setattr(modmath, "_bn_chain", modmath._bind_bn_chain(bn))
+        monkeypatch.setattr(modmath, "_chain", modmath._bind_montgomery_chain(bn))
         n, e = key2048.public
         seed, config, budget, tick = b"search-2048-d", FLAWED_256, 10_000_000, recording_tick([])
         if end == "spent budget":

@@ -69,7 +69,7 @@ needs_libcrypto = pytest.mark.skipif(BN is None, reason="libcrypto BN functions 
 
 def test_key_pow_is_decided_at_import():
     assert (modmath._key_pow is pow) == (BN_MOD_EXP is None)
-    assert (modmath._bn_chain is None) == (BN is None)
+    assert (modmath._chain is modmath._python_chain) == (BN is None)
 
 
 @st.composite
