@@ -12,12 +12,12 @@ walk to a chosen landing offset:
   without ever computing a root.  Each step also tests n - y, because
   with odd e the signature of n - y is simply n - r^z; that negation
   check costs a subtraction instead of a multiplication and nearly
-  doubles throughput.  With libcrypto loaded, the chain steps on OpenSSL
-  bignums by one Montgomery product (see `modmath`) and converts only
+  doubles throughput.  At large moduli, with libcrypto loaded, the chain
+  steps on OpenSSL bignums by one Montgomery product and converts only
   candidates, the values whose top byte or whose negation's top byte is
-  zero, back to `int`; without it, it steps in CPython.  Both steps give
-  the same values, so the attempt sequence and the hits do not depend on
-  which one ran.
+  zero, back to `int`; otherwise it steps in CPython (`modmath._chain`
+  chooses).  Both steps give the same values, so the attempt sequence
+  and the hits do not depend on which one ran.
 
 `estimate_hit_probability` measures the probability that a uniformly
 random block satisfies a classification predicate, and

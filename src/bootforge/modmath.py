@@ -45,17 +45,19 @@ e = 65537, 20 us against 15 us, a saving too small to show in a boot)
 and the rounds' squarings.
 
 The search chain y <- y*k mod n (see `forge`) steps on libcrypto
-bignums.  With R the Montgomery radix, k*R mod n is computed once
-(`BN_to_montgomery`); then each step is one
+bignums from `_MONTGOMERY_MIN_BITS` up.  With R the Montgomery radix,
+k*R mod n is computed once (`BN_to_montgomery`); then each step is one
 `BN_mod_mul_montgomery(y, y, k*R)`, which gives y*k*R*R**-1 = y*k mod n
 in normal form, with no division and no conversion.  A step tests its
 value against the candidate bound with `BN_num_bits` and `BN_cmp`, and
 only candidates, about 1% of the steps, come back as `int`.  A 2048-bit
 step with its test took 3.4 us against 18.8 us for CPython's
-`y * k % n` (2-CPU Xeon, medians of 15 loops of 20000 steps), and a
-512-bit one 1.83 us against 1.92 us (medians of 12 loops of 300000
-steps); single-worker 512-bit searches ran 1.19 M attempts/s against
-1.04 M/s (medians of 8 alternated 4M-attempt searches).
+`y * k % n` (2-CPU Xeon, medians of 15 loops of 20000 steps).  Below
+the cut-off the chain steps in CPython: a 512-bit libcrypto step is
+three ctypes calls around little arithmetic, and its time swings with
+the host's speed twice as far (1.17 us median, quartiles 57% of it
+apart, against 1.34 us and 24% for CPython's step; 120 alternated loops
+of 150000 steps on a shared 2-CPU Xeon).
 Every OpenSSL object of a chain is made inside it, so after a search
 worker forks, and freed however the chain ends.
 
@@ -64,9 +66,9 @@ each call; a `CDLL` releases and re-takes it on every call, which made
 those steps 3.8 us instead of 3.4 us at 2048 bits and 2.5 us instead of
 2.1 us at 512.  If `_hashlib` or one of the BN functions cannot be
 loaded, the key-length exponentiations use builtin `pow` and the chain
-steps in CPython (`_python_chain`), decided once at import.  Montgomery
-form cannot take an even modulus, and no RSA modulus is even, so the
-search refuses one.
+steps in CPython (`_python_chain`) at every size, decided once at
+import.  Montgomery form cannot take an even modulus, and no RSA modulus
+is even, so the search refuses one.
 """
 
 from __future__ import annotations
@@ -256,11 +258,30 @@ def _bind_montgomery_chain(bn):
     return montgomery_chain
 
 
+# The smallest modulus whose search chain steps in libcrypto: seeded
+# searches ran that step 1.7-2.0x as fast at 768 bits and 4.8-5.1x at
+# 2048, and within 15% of CPython's at 576 to 640.
+_MONTGOMERY_MIN_BITS = 640
+
+
+def _bind_chain(bn):
+    """The search chain: `_bind_montgomery_chain(bn)` from
+    `_MONTGOMERY_MIN_BITS` up, `_python_chain` below; both yield the same
+    values."""
+    montgomery_chain = _bind_montgomery_chain(bn)
+
+    def chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
+        step = montgomery_chain if n.bit_length() >= _MONTGOMERY_MIN_BITS else _python_chain
+        return step(k, n, top_bits, steps, tick_mask)
+
+    return chain
+
+
 # Decided once, at import: pow for exponents as long as the modulus, and
 # the search chain's step (see the module docstring).
 _BN = _load_bn()
 _key_pow = _bind_bn_mod_exp(_BN) if _BN else pow
-_chain = _bind_montgomery_chain(_BN) if _BN else _python_chain
+_chain = _bind_chain(_BN) if _BN else _python_chain
 
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:

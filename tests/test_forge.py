@@ -423,8 +423,18 @@ class TestChain:
     @example(operands=(3, (1 << 4095) + 3, 4094, 30, 0))
     def test_libcrypto_chain_yields_the_python_steps(self, operands):
         expected = reference_chain(*operands)
-        assert list(modmath._chain(*operands)) == expected
+        assert list(modmath._bind_montgomery_chain(modmath._BN)(*operands)) == expected
         assert list(modmath._python_chain(*operands)) == expected
+        assert list(modmath._chain(*operands)) == expected
+
+    @needs_bn_chain
+    @pytest.mark.parametrize("bits, on_libcrypto", [(17, False), (639, False), (640, True), (2048, True)])
+    def test_step_is_selected_by_size(self, bits, on_libcrypto):
+        bn = CountingBn(modmath._BN)
+        n = (1 << (bits - 1)) + 1
+        operands = (3, n, bits - 8, 40, 7)
+        assert list(modmath._bind_chain(bn)(*operands)) == reference_chain(*operands)
+        assert bool(bn.made) == on_libcrypto
 
     @pytest.mark.parametrize(
         "bits, seed, attempts, landing_offset, negated, signature_sha256",
