@@ -48,6 +48,8 @@ class WorkspaceConfig:
         if path is None:
             return cls()
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
         cfg = cls()
         if "key_dir" in data:
             cfg.key_dir = Path(data["key_dir"])
@@ -152,13 +154,13 @@ def _emit_report(report: bootsim.BootReport, workdir: Path, name: str) -> None:
 def _cmd_keygen(args, config: WorkspaceConfig) -> int:
     seed = _require_seed(args, config)
     key_dir = _key_dir(args, config)
-    key_dir.mkdir(parents=True, exist_ok=True)
     bits = (config.block_length or 64) * 8 if args.bits is None else args.bits
     exponent = 3 if args.e3 else 65537
     registry = KeyRegistry()
     for console, sig_type in REGISTRY_SLOTS:
         label = modmath.slot_label(console, sig_type)
         key = modmath.generate_keypair(bits, derive_seed(seed, "slot", label), exponent)
+        key_dir.mkdir(parents=True, exist_ok=True)  # only once a key shows the size is accepted
         modmath.write_key_file(key_dir / f"{label}.key", key, private=True)
         registry.assign(console, sig_type, key.public)
     modmath.write_registry(key_dir / "registry.txt", registry)
@@ -491,7 +493,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # A malformed image fails the check, as `boot` reports it; not a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

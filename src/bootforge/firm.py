@@ -116,6 +116,9 @@ def build_firm(
     """
     if not 1 <= len(entries) <= SECTION_COUNT:
         raise ValueError("an image needs between 1 and 4 sections")
+    u32_fields = [arm9_entry, arm11_entry, boot_priority] + [entry[0] for entry in entries]
+    if not all(0 <= value < 1 << 32 for value in u32_fields):
+        raise ValueError("entry points, boot_priority and phys_addr must be in [0, 2^32)")
     sections: list[SectionHeader] = []
     payloads: list[bytes] = []
     offset = HEADER_LENGTH
@@ -336,8 +339,12 @@ def load_build_descriptor(path: str | Path) -> FirmImage:
     """
     path = Path(path)
     desc = json.loads(path.read_text())
+    if not isinstance(desc, dict) or not isinstance(desc.get("sections"), list):
+        raise ValueError("a build descriptor is an object with a list of sections")
     entries = []
     for section in desc["sections"]:
+        if not isinstance(section, dict) or not isinstance(section.get("payload_file"), str):
+            raise ValueError("each section is an object with a payload_file name")
         method = section["copy_method"]
         if isinstance(method, str):
             method = CopyMethod[method.upper()]

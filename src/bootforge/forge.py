@@ -54,7 +54,7 @@ from .modmath import (
     RsaKeyPair, block_length_of, from_fixed_bytes, mod_exp, raw_sign, raw_verify, to_fixed_bytes,
 )
 from .prng import ByteStream, derive_seed
-from .sigparser import ParserConfig, exact_hit_probability, make_classifier
+from .sigparser import FLAWED_BLOCK_TYPES, ParserConfig, exact_hit_probability, make_classifier
 
 __all__ = [
     "MAX_WORKERS",
@@ -76,6 +76,9 @@ __all__ = [
 _PREFERRED_INNER_LEN = 0x1A
 
 _ESTIMATE_DRAW_BYTES = 1 << 20  # random bytes per estimator draw
+
+# The estimator's prefix filter: which second flag bytes the flawed walk accepts.
+_FLAG_TYPE_OK = np.isin(np.arange(256), FLAWED_BLOCK_TYPES)
 
 _TICK_MASK = 0x3FF  # a chain calls its tick every 1024 steps
 
@@ -153,23 +156,16 @@ def craft_exploit_plaintext(
 def forge_with_private_key(
     key: RsaKeyPair, landing_offset: int, seed: bytes | str
 ) -> ForgeResult:
-    """Sign a crafted plaintext with d: a one-attempt exploit signature."""
+    """Sign a crafted plaintext with d: one attempt, as a 00-led block is below n."""
     start = time.perf_counter()
-    filler = seed
-    for retry in range(64):
-        plaintext = craft_exploit_plaintext(key.block_length, landing_offset, filler)
-        m = from_fixed_bytes(plaintext)
-        if m < key.n:
-            signature = raw_sign(m, key)
-            return ForgeResult(
-                signature=signature,
-                plaintext=plaintext,
-                landing_offset=landing_offset,
-                attempts=1,
-                elapsed=time.perf_counter() - start,
-            )
-        filler = derive_seed(seed, "craft-retry", retry)
-    raise RuntimeError("crafted plaintext exceeded the modulus 64 times")
+    plaintext = craft_exploit_plaintext(key.block_length, landing_offset, seed)
+    return ForgeResult(
+        signature=raw_sign(from_fixed_bytes(plaintext), key),
+        plaintext=plaintext,
+        landing_offset=landing_offset,
+        attempts=1,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def draw_root(seed: bytes | str, worker_index: int, n: int) -> int:
@@ -467,8 +463,6 @@ def estimate_hit_probability(
         raise ValueError("need at least 1e5 samples for a meaningful estimate")
     rng = np.random.default_rng(int.from_bytes(derive_seed(seed, "estimate"), "big"))
     classify = make_classifier(config) if config.require_walk else None
-    type_ok = np.zeros(256, dtype=bool)
-    type_ok[[b for b in config.block_types if 0 <= b <= 0xFF]] = True
     # A whole number of 64-bit words per draw keeps the byte stream unbroken.
     rows_per_draw = max(8, _ESTIMATE_DRAW_BYTES // block_length // 8 * 8)
 
@@ -480,7 +474,7 @@ def estimate_hit_probability(
         words = rng.bit_generator.random_raw(-(-count * block_length // 8))
         flat = words.astype("<u8", copy=False).view(np.uint8)
         blocks = flat[: count * block_length].reshape(count, block_length)
-        mask = (blocks[:, 0] == 0) & type_ok[blocks[:, 1]]
+        mask = (blocks[:, 0] == 0) & _FLAG_TYPE_OK[blocks[:, 1]]
         if classify is None:
             hits += int(np.count_nonzero(mask))
             continue

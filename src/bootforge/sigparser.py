@@ -9,9 +9,9 @@ key's block length) is parsed one of two ways:
   so the final "embedded hash" read can land beyond the block, out on
   the surrounding stack.
 * `strict_parse` is the fixed firmware-style walk: block type 1 only,
-  padding must be 0xFF and at least 8 bytes, every length is bounds
-  checked before use, the digest encoding must be the fixed SHA-256 one,
-  and the hash must sit flush against the end of the block.
+  padding must be 0xFF and at least 8 bytes, the header must equal the
+  fixed SHA-256 DigestInfo, and the hash must sit flush against the end
+  of the block (RFC 8017 section 8.2.2 verifies by this compare).
 
 The walk shape is: flag bytes ``00 01|02``, padding up to the first
 ``0x00`` terminator at offset ``t``, an outer header at ``t+1`` (type
@@ -44,6 +44,7 @@ __all__ = [
     "StackModel",
     "ParserMode",
     "ParserConfig",
+    "FLAWED_BLOCK_TYPES",
     "flawed_parse",
     "strict_parse",
     "make_classifier",
@@ -59,6 +60,9 @@ HASH_LENGTH = 0x20
 # Fixed DER encoding of DigestInfo for SHA-256, up to the hash bytes:
 # SEQUENCE(0x31) { SEQUENCE(0x0d) { OID sha256, NULL }, OCTET STRING(0x20)
 SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
+
+# The block types the flawed walk accepts after the leading 00 flag byte.
+FLAWED_BLOCK_TYPES = (0x01, 0x02)
 
 # Walk geometry relative to the padding terminator at offset t.
 _OUTER_TYPE, _OUTER_LEN = 1, 2
@@ -191,24 +195,21 @@ class ParserMode(Enum):
 class ParserConfig:
     """The hit predicate that search, estimation and classification test.
 
-    A block is a hit when its flag bytes are ``00`` and one of
-    `block_types` and the flawed walk lands inside `target_window`; with
-    `check_type_bytes` the two 0x30 type bytes and the 0x04 final type
-    byte must also be present.  With `require_walk` false only the flag
-    bytes count.  This is a predicate over plaintext blocks, not a parser
-    choice: `flawed_parse` always runs the plain walk with types {1, 2}
-    and no type-byte checks, and the boot and `validate_firm` pick their
-    parser with a `ParserMode`.
+    A block is a hit when the flawed walk accepts its flag bytes and lands
+    inside `target_window`; with `check_type_bytes` the two 0x30 type
+    bytes and the 0x04 final type byte must also be present.  With
+    `require_walk` false only the flag bytes count.  This is a predicate
+    over plaintext blocks, not a parser choice: `flawed_parse` always runs
+    the plain walk with no type-byte checks, and the boot and
+    `validate_firm` pick their parser with a `ParserMode`.
     """
 
     target_window: frozenset = frozenset()
-    block_types: frozenset = frozenset({0x01, 0x02})
     require_walk: bool = True
     check_type_bytes: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "target_window", frozenset(self.target_window))
-        object.__setattr__(self, "block_types", frozenset(self.block_types))
 
     @classmethod
     def flawed(
@@ -235,36 +236,38 @@ class ParserConfig:
         return cls.flawed(block_length, check_type_bytes=True)
 
 
-def _check_flag_bytes(block: bytes, allowed_types: frozenset) -> Optional[ParseOutcome]:
+def _check_inputs(block: bytes, calc_hash: bytes) -> None:
+    if len(calc_hash) != HASH_LENGTH:
+        raise ValueError("calculated hash must be 32 bytes")
     if len(block) < 8:
         raise ValueError("signature block implausibly short")
-    if block[0] != 0x00 or block[1] not in allowed_types:
-        return ParseOutcome.reject(RejectReason.BAD_BLOCK_TYPE)
-    return None
+
+
+def _walk(block: bytes) -> tuple[int, int] | RejectReason:
+    """The boot ROM's walk: (terminator t, landing t + 7 + L), or the reason
+    it stops.  It reads only block bytes, so a steering length byte L at
+    t + 4 past the block end is a structural reject."""
+    if block[0] != 0x00 or block[1] not in FLAWED_BLOCK_TYPES:
+        return RejectReason.BAD_BLOCK_TYPE
+    t = block.find(0, 2)
+    if t < 0:
+        return RejectReason.NO_PADDING_TERMINATOR
+    if t + _INNER_LEN >= len(block):
+        return RejectReason.BAD_ASN1
+    return t, t + _LANDING_AFTER_INNER + block[t + _INNER_LEN]
 
 
 def flawed_parse(block: bytes, calc_hash: bytes, stack: StackModel) -> ParseOutcome:
     """Run the permissive walk and compare 32 bytes at the landing offset.
 
-    The walk itself only ever reads block bytes; a terminator so late
-    that the steering length byte would fall outside the block is a
-    structural reject.  The final compare reads through `stack`, which
-    is where an out-of-bounds landing turns into the simulator's
-    data-abort analog.
+    The final compare reads through `stack`, which is where an
+    out-of-bounds landing turns into the simulator's data-abort analog.
     """
-    if len(calc_hash) != HASH_LENGTH:
-        raise ValueError("calculated hash must be 32 bytes")
-    early = _check_flag_bytes(block, frozenset({0x01, 0x02}))
-    if early:
-        return early
-    bl = len(block)
-    t = block.find(0, 2)
-    if t < 0:
-        return ParseOutcome.reject(RejectReason.NO_PADDING_TERMINATOR)
-    if t + _INNER_LEN >= bl:
-        return ParseOutcome.reject(RejectReason.BAD_ASN1)
-    inner_len = block[t + _INNER_LEN]
-    landing = t + _LANDING_AFTER_INNER + inner_len
+    _check_inputs(block, calc_hash)
+    walk = _walk(block)
+    if isinstance(walk, RejectReason):
+        return ParseOutcome.reject(walk)
+    landing = walk[1]
     for i in range(HASH_LENGTH):
         b = stack.read_byte(landing + i, block, calc_hash)
         if b is None:
@@ -276,11 +279,9 @@ def flawed_parse(block: bytes, calc_hash: bytes, stack: StackModel) -> ParseOutc
 
 def strict_parse(block: bytes, calc_hash: bytes) -> ParseOutcome:
     """Run the fixed walk: every check precedes every dereference."""
-    if len(calc_hash) != HASH_LENGTH:
-        raise ValueError("calculated hash must be 32 bytes")
-    early = _check_flag_bytes(block, frozenset({0x01}))
-    if early:
-        return early
+    _check_inputs(block, calc_hash)
+    if block[0] != 0x00 or block[1] != 0x01:
+        return ParseOutcome.reject(RejectReason.BAD_BLOCK_TYPE)
     bl = len(block)
     t = block.find(0, 2)
     end = bl if t < 0 else t
@@ -290,25 +291,10 @@ def strict_parse(block: bytes, calc_hash: bytes) -> ParseOutcome:
         return ParseOutcome.reject(RejectReason.NO_PADDING_TERMINATOR)
     if t - 2 < 8:
         return ParseOutcome.reject(RejectReason.PADDING_TOO_SHORT)
-
-    if t + _INNER_LEN >= bl:
-        return ParseOutcome.reject(RejectReason.BAD_ASN1)
-    outer_len = block[t + _OUTER_LEN]
-    inner_len = block[t + _INNER_LEN]
-    if block[t + _OUTER_TYPE] != 0x30 or block[t + _INNER_TYPE] != 0x30:
-        return ParseOutcome.reject(RejectReason.BAD_ASN1)
-    if t + _INNER_TYPE + outer_len > bl:
-        return ParseOutcome.reject(RejectReason.BAD_ASN1)
-    if t + _INNER_CONTENT + inner_len + 2 > bl:
-        return ParseOutcome.reject(RejectReason.BAD_ASN1)
-    final_type = block[t + _INNER_CONTENT + inner_len]
-    final_len = block[t + _INNER_CONTENT + inner_len + 1]
-    landing = t + _LANDING_AFTER_INNER + inner_len
-    if final_type != 0x04 or final_len != HASH_LENGTH:
-        return ParseOutcome.reject(RejectReason.BAD_ASN1)
-    if landing + HASH_LENGTH > bl:
-        return ParseOutcome.reject(RejectReason.BAD_ASN1)
-    if block[t + 1 : t + 1 + len(SHA256_DIGEST_INFO)] != SHA256_DIGEST_INFO:
+    # The DigestInfo fixes both 0x30 types, the lengths 0x31 and 0x0d, and
+    # the 0x04 type with its 0x20 length; the hash follows it.
+    landing = t + 1 + len(SHA256_DIGEST_INFO)
+    if block[t + 1 : landing] != SHA256_DIGEST_INFO or landing + HASH_LENGTH > bl:
         return ParseOutcome.reject(RejectReason.BAD_ASN1)
     if landing + HASH_LENGTH != bl:
         return ParseOutcome.reject(RejectReason.TRAILING_GARBAGE, landing)
@@ -323,31 +309,28 @@ def make_classifier(config: ParserConfig) -> Callable[[bytes], Optional[int]]:
     The returned callable is the stack-independent validity check the
     brute-force search runs millions of times: it succeeds with landing
     offset L exactly when `flawed_parse` would accept the block against
-    a stack whose calculated hash sits at L (provided the walk is the
-    faithful one, i.e. block_types == {1, 2} and no type-byte checks).
+    a stack whose calculated hash sits at L (provided there are no
+    type-byte checks).
     """
     if not config.require_walk:
         raise ValueError("classification requires the structural walk")
     window = config.target_window
-    allowed = config.block_types
     check_types = config.check_type_bytes
 
     def classify(block: bytes) -> Optional[int]:
-        bl = len(block)
-        if bl < 8 or block[0] != 0x00 or block[1] not in allowed:
+        if len(block) < 8:
             return None
-        t = block.find(0, 2)
-        if t < 0 or t + _INNER_LEN >= bl:
+        walk = _walk(block)
+        if isinstance(walk, RejectReason):
             return None
-        inner_len = block[t + _INNER_LEN]
-        landing = t + _LANDING_AFTER_INNER + inner_len
+        t, landing = walk
         if landing not in window:
             return None
         if check_types:
             if block[t + _OUTER_TYPE] != 0x30 or block[t + _INNER_TYPE] != 0x30:
                 return None
-            final_pos = t + _INNER_CONTENT + inner_len
-            if final_pos >= bl or block[final_pos] != 0x04:
+            final_pos = landing - 2  # t + 5 + L
+            if final_pos >= len(block) or block[final_pos] != 0x04:
                 return None
         return landing
 
@@ -358,17 +341,17 @@ def exact_hit_probability(block_length: int, config: ParserConfig) -> float:
     """Exact probability that `make_classifier(config)` accepts a block of
     independent uniform bytes.
 
-    The flag bytes pass with probability len(block_types) / 65536, and
-    with `require_walk` false that is the whole predicate.  The walk then
-    needs its terminator t (the first zero byte from offset 2 on) with
-    the inner length byte at t + 4 inside the block; t is the first zero
-    with probability (255/256)^(t-2) / 256, and the bytes after it stay
-    uniform.  A hit needs an inner length L with t + 7 + L in the target
-    window.  Under `check_type_bytes` the two 0x30 type bytes and the
+    The flag bytes pass with probability len(FLAWED_BLOCK_TYPES) / 65536
+    = 2 / 65536, and with `require_walk` false that is the whole
+    predicate.  The walk then needs its terminator t (the first zero byte
+    from offset 2 on) with the inner length byte at t + 4 inside the
+    block; t is the first zero with probability (255/256)^(t-2) / 256,
+    and the bytes after it stay uniform.  A hit needs an inner length L
+    with t + 7 + L in the target window.  Under `check_type_bytes` the two 0x30 type bytes and the
     0x04 final type byte each pass with probability 1/256, and the final
     type byte at t + 5 + L must lie inside the block.
     """
-    prefix = sum(0 <= b <= 0xFF for b in config.block_types) / 65536
+    prefix = len(FLAWED_BLOCK_TYPES) / 65536
     if not config.require_walk:
         return prefix
     if block_length < 8:
@@ -414,7 +397,7 @@ _LEGEND = (
 def _categorize(block: bytes) -> list[str]:
     tags = ["."] * len(block)
     tags[0] = tags[1] = "F"
-    if block[0] != 0x00 or block[1] not in (0x01, 0x02):
+    if block[0] != 0x00 or block[1] not in FLAWED_BLOCK_TYPES:
         return tags
     t = block.find(0, 2)
     if t < 0:

@@ -58,7 +58,7 @@ class TestKeygen:
     def test_zero_bits_is_refused(self, workspace, capsys):
         assert main(["keygen", "--bits", "0", "--seed", SEED, "--key-dir", "k"]) == 2
         assert "bit_length must be" in capsys.readouterr().err
-        assert [p.name for p in Path("k").glob("*")] == []
+        assert not Path("k").exists()
 
     def test_seed_must_be_32_bytes(self, workspace):
         assert main(["keygen", "--seed", "abcd", "--key-dir", "k"]) == 2
@@ -81,6 +81,9 @@ class TestCraft:
         main(["craft", "--block-length", "64", "--landing", "64", "--seed", SEED, "--out", "x1"])
         main(["craft", "--block-length", "64", "--landing", "64", "--seed", SEED, "--out", "x2"])
         assert Path("x1").read_bytes() == Path("x2").read_bytes()
+
+
+SECTION = {"phys_addr": "0x08006000", "copy_method": "cpu_memcpy", "payload_file": "payload.bin"}
 
 
 def build_plain_image(workspace) -> Path:
@@ -393,6 +396,39 @@ class TestUsageErrors:
     def test_deleted_options(self, workspace, argv, capsys):
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "files, argv",
+        [
+            ({"d.json": []}, ["build-firm", "--desc", "d.json"]),
+            ({"d.json": {"sections": 5}}, ["build-firm", "--desc", "d.json"]),
+            ({"d.json": {"sections": ["x"]}}, ["build-firm", "--desc", "d.json"]),
+            ({"d.json": {"sections": [dict(SECTION, payload_file=5)]}},
+             ["build-firm", "--desc", "d.json"]),
+            ({"d.json": {"sections": [dict(SECTION, phys_addr=-1)]}},
+             ["build-firm", "--desc", "d.json"]),
+            ({"d.json": {"sections": [dict(SECTION, phys_addr="0x100000000")]}},
+             ["build-firm", "--desc", "d.json"]),
+            ({"d.json": {"sections": [SECTION], "arm9_entry": 1 << 32}},
+             ["build-firm", "--desc", "d.json"]),
+            ({"d.json": {"sections": [SECTION], "boot_priority": -1}},
+             ["build-firm", "--desc", "d.json"]),
+            ({}, ["build-firm", "--desc", "."]),
+            ({"c.json": []}, ["--config", "c.json", "craft", "--landing", "64", "--seed", SEED]),
+        ],
+        ids=["descriptor list", "sections not a list", "section not an object",
+             "payload_file not a name", "phys_addr -1", "phys_addr 2^32", "arm9_entry 2^32",
+             "boot_priority -1", "descriptor is a directory", "config list"],
+    )
+    def test_hostile_descriptor_or_config(self, workspace, files, argv, capsys):
+        Path("payload.bin").write_bytes(b"payload")
+        for name, content in files.items():
+            Path(name).write_text(json.dumps(content))
+        if argv[0] == "build-firm":
+            argv = argv + ["--out", "out.firm"]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not Path("out.firm").exists()
 
     def test_missing_file(self, workspace, key_dir):
         assert main(["verify", "--image", "missing.firm", "--key-dir", str(key_dir)]) == 2

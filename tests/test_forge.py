@@ -38,6 +38,7 @@ from bootforge.forge import (
 from bootforge.modmath import from_fixed_bytes, generate_keypair, raw_verify
 from bootforge.prng import derive_seed
 from bootforge.sigparser import (
+    FLAWED_BLOCK_TYPES,
     ParserConfig,
     RejectReason,
     StackModel,
@@ -482,6 +483,20 @@ class TestChain:
         assert len(calls) == 1
         assert ticks == [2048, 4096, 6144, 8192, 10_000]
 
+    def test_candidates_follow_the_mod_n_factor(self, key2048):
+        # A value uniform mod n has a zero top byte with probability
+        # 2^(8(bl-1)) / n, and the chain tests y and n - y, so a step yields
+        # a candidate with probability 2 * 2^(8(bl-1)) / n: a mean of 2423.5
+        # here, against 1562.5 (2 / 256 a step) for uniform bytes.
+        n, e = key2048.public
+        top_bits, steps = 8 * (key2048.block_length - 1), 200_000
+        k = modmath.mod_exp(draw_root(b"cand", 0, n), e, n)
+        chain = modmath._chain(k, n, top_bits, steps, forge._TICK_MASK)
+        seen = sum(y is not None for _, y in chain)  # 2445 seen
+        p = Fraction(2 << top_bits, n)
+        mean, sigma = steps * p, math.sqrt(steps * p * (1 - p))
+        assert abs(seen - mean) < 5 * sigma, (seen, float(mean))
+
     @pytest.mark.parametrize("bits", [512, 2048])
     @pytest.mark.parametrize("budget, expected", [(1, [2]), (2, [2]), (2049, [2048, 2050])])
     def test_odd_budget_ends_one_attempt_past_it(self, key512, key2048, bits, budget, expected):
@@ -520,9 +535,9 @@ class TestChain:
 
 class TestHitProbability:
     def test_prefix_only_matches_analytic_value(self):
-        config = ParserConfig(block_types=frozenset({0x02}), require_walk=False)
+        config = ParserConfig(require_walk=False)
         estimate = estimate_hit_probability(64, config, 4_000_000, b"analytic-check")
-        assert estimate.ci_low <= 1 / 65536 <= estimate.ci_high
+        assert estimate.ci_low <= 2 / 65536 <= estimate.ci_high
 
     def test_impossible_predicate(self):
         config = ParserConfig.flawed(64, window=[])
@@ -549,7 +564,7 @@ class TestHitProbability:
         hits = 0
         pos = flags.find(0)
         while pos >= 0:
-            if pos % 2 == 0 and flags[pos + 1] in FLAWED_64.block_types:
+            if pos % 2 == 0 and flags[pos + 1] in FLAWED_BLOCK_TYPES:
                 hits += classify(flags[pos : pos + 2] + rng.randbytes(62)) is not None
             pos = flags.find(0, pos + 1)
         p_direct = hits / samples
@@ -572,10 +587,12 @@ class TestHitProbability:
         assert estimate.ci_low <= exact_hit_probability(0x100, config) <= estimate.ci_high
 
     @pytest.mark.parametrize("block_length, samples", [(61, 100_003), (0x100, 100_003)])
-    def test_same_blocks_as_one_uint8_draw(self, block_length, samples):
+    def test_same_blocks_as_one_uint8_draw(self, block_length, samples, monkeypatch):
         # The estimator draws in pieces of about 1 MiB; its blocks must be
-        # exactly those of a single uint8 draw from the same seed.
-        config = ParserConfig(block_types=frozenset(range(0x80)), require_walk=False)
+        # exactly those of a single uint8 draw from the same seed.  Half the
+        # second flag bytes pass here, so enough blocks count to tell.
+        monkeypatch.setattr(forge, "_FLAG_TYPE_OK", np.arange(256) < 0x80)
+        config = ParserConfig(require_walk=False)
         rng = np.random.default_rng(int.from_bytes(derive_seed(b"one-draw", "estimate"), "big"))
         blocks = rng.integers(0, 256, size=(samples, block_length), dtype=np.uint8)
         expected = int(np.count_nonzero((blocks[:, 0] == 0) & (blocks[:, 1] < 0x80)))
@@ -630,12 +647,12 @@ class TestExactHitProbability:
         # The flag bytes: 00 or another value (255 of them) first, then each
         # block type or another value.
         config = ParserConfig.flawed(8, window=window, check_type_bytes=check_type_bytes)
-        types = sorted(config.block_types)
-        other = min(set(range(256)) - config.block_types)
+        other = min(set(range(256)) - set(FLAWED_BLOCK_TYPES))
         flags = [
             (bytes([first, second]), w1 * w2)
             for first, w1 in ((0x00, 1), (0x01, 255))
-            for second, w2 in [(t, 1) for t in types] + [(other, 256 - len(types))]
+            for second, w2 in [(t, 1) for t in FLAWED_BLOCK_TYPES]
+            + [(other, 256 - len(FLAWED_BLOCK_TYPES))]
         ]
         classify = make_classifier(config)
         hits = sum(
@@ -644,9 +661,7 @@ class TestExactHitProbability:
         assert Fraction(exact_hit_probability(8, config)) == Fraction(hits, 256**8)
 
     def test_prefix_only_is_the_flag_byte_share(self):
-        for types in ({0x02}, {0x01, 0x02}, {0x00, 0x01, 0x02, 0xFF}):
-            config = ParserConfig(block_types=frozenset(types), require_walk=False)
-            assert exact_hit_probability(64, config) == len(types) / 65536
+        assert exact_hit_probability(64, ParserConfig(require_walk=False)) == 2 / 65536
 
     @pytest.mark.parametrize(
         "block_length, config, log2_p",

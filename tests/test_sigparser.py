@@ -152,6 +152,11 @@ class TestStrictRejections:
         block = inner + b"\xaa"
         assert strict_parse(block, self.digest).reason is RejectReason.TRAILING_GARBAGE
 
+    def test_hash_cut_short_by_the_block_end(self):
+        # The DigestInfo is whole but the block ends 3 bytes into its hash.
+        outcome = strict_parse(bytes(self.block[:-3]), self.digest)
+        assert (outcome.reason, outcome.landing_offset) == (RejectReason.BAD_ASN1, None)
+
     def test_length_beyond_block(self):
         t = self.block.index(0, 2)
         self.block[t + 4] = 0xF0  # inner length now points outside
