@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Every randomized command requires an explicit 32-byte hex seed, so a
-(config, seed, inputs) triple reproduces its artifacts byte for byte;
-only wall-clock fields (elapsed times) vary between reruns.  Exit codes:
+(config, seed, inputs) triple reproduces its artifacts byte for byte; no
+artifact records a wall-clock time.  The exception is `forge` with two
+or more workers: which worker hits first depends on timing, so its
+signature and attempt count vary between reruns.  A single-worker
+search result is byte-reproducible.  Exit codes:
 0 success, 1 verification or boot failure, 2 usage error.  The artifact
 directory defaults to the working directory and can be overridden with
 BOOTFORGE_WORKDIR.
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -50,11 +54,16 @@ class WorkspaceConfig:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
+        for name in ("key_dir", "parser_mode", "blacklist_policy", "seed"):
+            if not isinstance(data.get(name, ""), str):
+                raise UsageError(f"config field {name} must be a string")
         cfg = cls()
         if "key_dir" in data:
             cfg.key_dir = Path(data["key_dir"])
         if "block_length" in data:
-            cfg.block_length = _checked_block_length(int(data["block_length"]))
+            if type(data["block_length"]) is not int:  # a bool is not a length
+                raise UsageError("config field block_length must be an integer")
+            cfg.block_length = _checked_block_length(data["block_length"])
         cfg.parser_mode = data.get("parser_mode", cfg.parser_mode)
         cfg.blacklist_policy = data.get("blacklist_policy", cfg.blacklist_policy)
         cfg.seed = data.get("seed", cfg.seed)
@@ -186,9 +195,15 @@ def _cmd_forge(args, config: WorkspaceConfig) -> int:
     pub = registry.get(console, sig_type)
     block_length = registry.block_length(console, sig_type)
     parser = ParserConfig.flawed(block_length, window=_parse_window(args.window, block_length))
+    max_attempts = args.max_attempts
+    if max_attempts is None:
+        # Misses with probability e^-20.  A config that cannot hit gets no
+        # budget: the search refuses it.
+        p_search = forge.exact_search_probability(pub[0], parser)
+        max_attempts = math.ceil(20 / p_search) if p_search else 0
     try:
         result = forge.brute_force_search(
-            pub, parser, args.workers, seed, args.max_attempts, progress=sys.stdout
+            pub, parser, args.workers, seed, max_attempts, progress=sys.stdout
         )
     except forge.SearchWorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -397,8 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, keyed=True)
     p.add_argument("--slot", default="retail.nand")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-attempts", type=int, default=50_000_000)
-    p.add_argument("--window", help="landing window LO:HI")
+    p.add_argument("--max-attempts", type=int, help="default: 20 / p_search, missing 1 in e^20")
+    p.add_argument("--window", help="landing window LO:HI (default: the boot's landing, bl)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_forge)
 
@@ -413,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--block-length", type=lambda s: int(s, 0))
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--window", help="landing window LO:HI")
+    p.add_argument("--window", help="landing window LO:HI (default: the boot's landing, bl)")
     p.add_argument("--full-structure", action="store_true")
     p.set_defaults(func=_cmd_estimate)
 

@@ -22,17 +22,9 @@ walk to a chosen landing offset:
 `estimate_hit_probability` measures the probability that a uniformly
 random block satisfies a classification predicate, and
 `exact_hit_probability` (from `sigparser`, re-exported here) gives the
-same probability in closed form.  The
-search tests values uniform modulo n rather than uniform bytes.  Such a
-value has a zero top byte with probability 2^(8(bl-1)) / n, and given
-that, its low bl-1 bytes are exactly uniform.  Its per-value hit
-probability is therefore exactly
-
-    p_search = p_bytes * 256 * 2^(8(bl-1)) / n
-
-where p_bytes is the uniform-bytes probability (which carries the 1/256
-for the zero top byte).  For a modulus of exactly 8*bl bits the factor
-256 * 2^(8(bl-1)) / n lies in (1, 2].
+same probability in closed form.  The search tests values uniform
+modulo n rather than uniform bytes; `exact_search_probability` gives
+its per-attempt hit probability.
 """
 
 from __future__ import annotations
@@ -66,6 +58,7 @@ __all__ = [
     "brute_force_search",
     "estimate_hit_probability",
     "exact_hit_probability",
+    "exact_search_probability",
     "draw_root",
     "write_forge_result",
 ]
@@ -93,7 +86,6 @@ class ForgeResult:
     plaintext: bytes
     landing_offset: int
     attempts: int
-    elapsed: float
     negated: bool = False
     root: Optional[int] = None
     iterations: int = 0
@@ -110,7 +102,7 @@ class ForgeResult:
             "signature": self.signature_bytes().hex(),
             "landing_offset": self.landing_offset,
             "attempts": self.attempts,
-            "elapsed_ms": int(self.elapsed * 1000),
+            "iterations": self.iterations,
             "seed": seed.hex(),
         }
 
@@ -157,14 +149,12 @@ def forge_with_private_key(
     key: RsaKeyPair, landing_offset: int, seed: bytes | str
 ) -> ForgeResult:
     """Sign a crafted plaintext with d: one attempt, as a 00-led block is below n."""
-    start = time.perf_counter()
     plaintext = craft_exploit_plaintext(key.block_length, landing_offset, seed)
     return ForgeResult(
         signature=raw_sign(from_fixed_bytes(plaintext), key),
         plaintext=plaintext,
         landing_offset=landing_offset,
         attempts=1,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -230,7 +220,6 @@ def _run_chain(
     # ends one attempt past it.
     steps = (budget + 1) // 2
 
-    started = time.perf_counter()
     z = 0
     hit = None
     with contextlib.closing(modmath._chain(k, n, top_bits, steps, _TICK_MASK)) as chain:
@@ -258,7 +247,6 @@ def _run_chain(
         plaintext=to_fixed_bytes(value, block_length),
         landing_offset=landing,
         attempts=2 * z,
-        elapsed=time.perf_counter() - started,
         negated=negated,
         root=r,
         iterations=z,
@@ -369,7 +357,6 @@ def brute_force_search(
             n, e, block_length, config, seed, 0, max_attempts, _progress_reporter(progress)
         )
 
-    started = time.perf_counter()
     stop = multiprocessing.Event()
     results: multiprocessing.SimpleQueue = multiprocessing.SimpleQueue()
     counters = [multiprocessing.Value("q", 0, lock=False) for _ in range(worker_count)]
@@ -415,9 +402,27 @@ def brute_force_search(
             if proc.exitcode != 0:
                 raise SearchWorkerError(idx, proc.exitcode)
         return None
-    return replace(
-        winner, attempts=sum(c.value for c in counters), elapsed=time.perf_counter() - started
-    )
+    return replace(winner, attempts=sum(c.value for c in counters))
+
+
+def exact_search_probability(n: int, config: ParserConfig) -> float:
+    """Exact per-attempt hit probability of `brute_force_search` against
+    modulus n.
+
+    The chain tests values uniform modulo n rather than uniform bytes.
+    Such a value has a zero top byte with probability 2^(8(bl-1)) / n,
+    and given that, its low bl-1 bytes are exactly uniform.  Its hit
+    probability is therefore exactly
+
+        p_search = p_bytes * 256 * 2^(8(bl-1)) / n
+
+    where p_bytes is `exact_hit_probability`, the uniform-bytes
+    probability (which carries the 1/256 for the zero top byte).  For a
+    modulus of exactly 8*bl bits the factor 256 * 2^(8(bl-1)) / n lies
+    in (1, 2].
+    """
+    block_length = block_length_of(n)
+    return exact_hit_probability(block_length, config) * ((1 << 8 * block_length) / n)
 
 
 @dataclass(frozen=True)

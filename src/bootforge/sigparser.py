@@ -218,9 +218,12 @@ class ParserConfig:
         window: Optional[Iterable[int]] = None,
         check_type_bytes: bool = False,
     ) -> "ParserConfig":
-        """The flawed walk's predicate; default window is the 128 offsets past the block."""
+        """The flawed walk's predicate.  The default window is the boot's
+        landing: the one offset where `StackModel.boot9` stores the
+        calculated hash, and so the only landing `flawed_parse` accepts
+        against the boot's stack."""
         if window is None:
-            window = range(block_length, block_length + 128)
+            window = {StackModel.boot9(block_length).calc_hash_offset}
         return cls(target_window=frozenset(window), check_type_bytes=check_type_bytes)
 
     @classmethod
@@ -229,9 +232,9 @@ class ParserConfig:
 
         On top of the plain walk this demands the two 0x30 type bytes
         and the 0x04 final type byte an honestly-encoded digest carries.
-        Random blocks pass at roughly the one-in-2^46 scale, so this is
-        the config for extrapolating real-key search difficulty; it is
-        deliberately stricter than `flawed_parse` itself.
+        Random 0x100-byte blocks pass with probability about 2^-47.7, so
+        this is the config for extrapolating real-key search difficulty;
+        it is deliberately stricter than `flawed_parse` itself.
         """
         return cls.flawed(block_length, check_type_bytes=True)
 

@@ -33,6 +33,16 @@ def read_tree(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
 
+def assert_dumped_protected_halves(workspace):
+    """The SD card holds the protected halves of the machine's two ROMs,
+    derived here straight from the construction seed stream."""
+    sd = workspace / "work" / "machine" / "sd"
+    machine_seed = derive_seed(bytes.fromhex(SEED), "machine")
+    for name in ("boot9", "boot11"):
+        rom = ByteStream(derive_seed(machine_seed, f"{name}-rom")).take(0x10000)
+        assert (sd / f"{name}_protected.bin").read_bytes() == rom[0x8000:]
+
+
 class TestKeygen:
     def test_outputs(self, key_dir):
         names = {p.name for p in key_dir.iterdir()}
@@ -84,6 +94,8 @@ class TestCraft:
 
 
 SECTION = {"phys_addr": "0x08006000", "copy_method": "cpu_memcpy", "payload_file": "payload.bin"}
+# Runs to exit 0 unless the config file is refused.
+ESTIMATE_WITH_CONFIG = ["--config", "c.json", "estimate", "--samples", "100000", "--seed", SEED]
 
 
 def build_plain_image(workspace) -> Path:
@@ -251,7 +263,7 @@ class TestForgeCommand:
         rc = main(
             ["forge", "--key-dir", str(key_dir), "--slot", "retail.nand",
              "--seed", SEED, "--workers", "1", "--max-attempts", "8000000",
-             "--out", "found"]
+             "--window", "64:191", "--out", "found"]
         )
         assert rc == 0
         record = json.loads(Path("found.json").read_text())
@@ -259,6 +271,36 @@ class TestForgeCommand:
         assert record["seed"] == SEED
         sig = bytes.fromhex(Path("found.sig").read_text().strip())
         assert len(sig) == 64
+
+    def test_single_worker_result_is_byte_reproducible(self, workspace, key_dir):
+        for out in ("a", "b"):
+            rc = main(
+                ["forge", "--key-dir", str(key_dir), "--seed", SEED, "--workers", "1",
+                 "--window", "64:191", "--out", out]
+            )
+            assert rc == 0
+        for suffix in (".sig", ".json"):
+            assert Path("a" + suffix).read_bytes() == Path("b" + suffix).read_bytes()
+
+    def test_public_key_only_round_trip_at_paper_size(self, workspace, capsys):
+        # keygen, then forget every private key: forge sees only the
+        # registry, at its default window (the boot's landing) and budget.
+        keys = workspace / "keys"
+        assert main(["keygen", "--bits", "2048", "--seed", SEED, "--key-dir", str(keys)]) == 0
+        for key_file in keys.glob("*.key"):
+            key_file.unlink()
+        assert [p.name for p in keys.iterdir()] == ["registry.txt"]
+        rc = main(["forge", "--key-dir", str(keys), "--seed", SEED, "--workers", "2",
+                   "--out", "paper"])
+        assert rc == 0
+        record = json.loads(Path("paper.json").read_text())
+        assert record["landing_offset"] == 0x100
+        capsys.readouterr()
+        rc = main(["exploit", "--key-dir", str(keys), "--seed", SEED, "--sig", "paper.sig",
+                   "--dump-keys"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "shutdown"
+        assert_dumped_protected_halves(workspace)
 
     def test_exhaustion_exit_code(self, workspace, key_dir):
         rc = main(
@@ -355,13 +397,7 @@ class TestExploitCommands:
     def test_dump_keys_writes_sd_files(self, workspace, key_dir):
         rc = main(["exploit", "--key-dir", str(key_dir), "--seed", SEED, "--dump-keys"])
         assert rc == 0
-        sd = Path(workspace / "work" / "machine" / "sd")
-        boot9 = (sd / "boot9_protected.bin").read_bytes()
-        boot11 = (sd / "boot11_protected.bin").read_bytes()
-        # independent derivation straight from the construction seed stream
-        machine_seed = derive_seed(bytes.fromhex(SEED), "machine")
-        assert boot9 == ByteStream(derive_seed(machine_seed, "boot9-rom")).take(0x10000)[0x8000:]
-        assert boot11 == ByteStream(derive_seed(machine_seed, "boot11-rom")).take(0x10000)[0x8000:]
+        assert_dumped_protected_halves(workspace)
 
     def test_chain_requires_second_image(self, workspace, key_dir):
         assert main(["exploit", "--key-dir", str(key_dir), "--seed", SEED]) == 2
@@ -415,10 +451,18 @@ class TestUsageErrors:
              ["build-firm", "--desc", "d.json"]),
             ({}, ["build-firm", "--desc", "."]),
             ({"c.json": []}, ["--config", "c.json", "craft", "--landing", "64", "--seed", SEED]),
+            ({"c.json": {"seed": 5}}, ESTIMATE_WITH_CONFIG),
+            ({"c.json": {"key_dir": 5}}, ESTIMATE_WITH_CONFIG),
+            ({"c.json": {"parser_mode": 5}}, ESTIMATE_WITH_CONFIG),
+            ({"c.json": {"blacklist_policy": ["boot9only"]}}, ESTIMATE_WITH_CONFIG),
+            ({"c.json": {"block_length": [1]}}, ESTIMATE_WITH_CONFIG),
+            ({"c.json": {"block_length": True}}, ESTIMATE_WITH_CONFIG),
         ],
         ids=["descriptor list", "sections not a list", "section not an object",
              "payload_file not a name", "phys_addr -1", "phys_addr 2^32", "arm9_entry 2^32",
-             "boot_priority -1", "descriptor is a directory", "config list"],
+             "boot_priority -1", "descriptor is a directory", "config list", "config seed 5",
+             "config key_dir 5", "config parser_mode 5", "config blacklist_policy list",
+             "config block_length list", "config block_length bool"],
     )
     def test_hostile_descriptor_or_config(self, workspace, files, argv, capsys):
         Path("payload.bin").write_bytes(b"payload")

@@ -15,7 +15,6 @@ import threading
 import time
 import tracemalloc
 import types
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from bootforge.forge import (
     draw_root,
     estimate_hit_probability,
     exact_hit_probability,
+    exact_search_probability,
     forge_with_private_key,
     write_forge_result,
 )
@@ -48,11 +48,15 @@ from bootforge.sigparser import (
     strict_parse,
 )
 
-FLAWED_64 = ParserConfig.flawed(64)
+# The search mechanics are tested on the 128 landings past the block, a
+# window hit far more often than the boot's one landing.
+WINDOW_64 = range(64, 64 + 128)
+WINDOW_256 = range(0x100, 0x100 + 128)
+FLAWED_64 = ParserConfig.flawed(64, window=WINDOW_64)
 # Can hit, but a block passes with probability about 2^-49: no test budget finds one.
 UNLIKELY_64 = ParserConfig.flawed(64, window=[64], check_type_bytes=True)
 # perfbench's 2048-bit predicate: 128 landing offsets, about 1.5e5 attempts a hit.
-FLAWED_256 = ParserConfig.flawed(0x100)
+FLAWED_256 = ParserConfig.flawed(0x100, window=WINDOW_256)
 UNLIKELY_256 = ParserConfig.flawed(0x100, window=[0x100], check_type_bytes=True)
 
 needs_bn_chain = pytest.mark.skipif(
@@ -342,8 +346,9 @@ class TestBruteForceSearch:
         sig_path, json_path = write_forge_result(result, tmp_path / "out", b"forge-test-1")
         assert bytes.fromhex(sig_path.read_text().strip()) == result.signature_bytes()
         record = json.loads(json_path.read_text())
-        assert set(record) == {"signature", "landing_offset", "attempts", "elapsed_ms", "seed"}
+        assert set(record) == {"signature", "landing_offset", "attempts", "iterations", "seed"}
         assert record["attempts"] == result.attempts
+        assert record["iterations"] == result.iterations
         assert record["seed"] == b"forge-test-1".hex()
 
 
@@ -463,7 +468,7 @@ class TestChain:
         # The fallback when libcrypto is missing.
         monkeypatch.setattr(modmath, "_chain", modmath._python_chain)
         on_python = brute_force_search(key.public, config, 1, seed, 10_000_000)
-        assert replace(on_python, elapsed=0) == replace(result, elapsed=0)
+        assert on_python == result
 
     @needs_bn_chain
     def test_libcrypto_chain_ticks_every_1024_steps(self, monkeypatch, key2048):
@@ -582,9 +587,8 @@ class TestHitProbability:
     def test_paper_size_estimate_contains_exact_p(self):
         # 2e7 samples at 0x100 bytes, about 133 expected hits: the estimator
         # at the paper's block size against the closed form.
-        config = ParserConfig.flawed(0x100)
-        estimate = estimate_hit_probability(0x100, config, 2 * 10**7, b"paper-size")
-        assert estimate.ci_low <= exact_hit_probability(0x100, config) <= estimate.ci_high
+        estimate = estimate_hit_probability(0x100, FLAWED_256, 2 * 10**7, b"paper-size")
+        assert estimate.ci_low <= exact_hit_probability(0x100, FLAWED_256) <= estimate.ci_high
 
     @pytest.mark.parametrize("block_length, samples", [(61, 100_003), (0x100, 100_003)])
     def test_same_blocks_as_one_uint8_draw(self, block_length, samples, monkeypatch):
@@ -667,8 +671,8 @@ class TestExactHitProbability:
         "block_length, config, log2_p",
         [
             (64, ParserConfig.flawed(64, window=range(64, 96)), -20.30),
-            (0x100, ParserConfig.flawed(0x100), -17.20),
-            (0x100, ParserConfig.full_structure(0x100), -46.69),
+            (0x100, FLAWED_256, -17.20),
+            (0x100, ParserConfig.flawed(0x100, window=WINDOW_256, check_type_bytes=True), -46.69),
         ],
     )
     def test_reference_values(self, block_length, config, log2_p):
@@ -679,3 +683,29 @@ class TestExactHitProbability:
     def test_empty_window_and_short_block(self):
         assert exact_hit_probability(64, ParserConfig.flawed(64, window=[])) == 0.0
         assert exact_hit_probability(7, ParserConfig.flawed(7)) == 0.0
+
+
+class TestExactSearchProbability:
+    def test_paper_size_reference_value(self, key2048):
+        # The boot's landing in a 0x100-byte block: p_bytes 7.40e-8 times
+        # the key's mod-n factor 1.5510, about 8.71e6 attempts a hit.
+        config = ParserConfig.flawed(0x100)
+        p_bytes = exact_hit_probability(0x100, config)
+        p_search = exact_search_probability(key2048.n, config)
+        assert p_bytes == pytest.approx(7.40e-8, rel=1e-3)
+        assert p_search / p_bytes == pytest.approx(1.5510, abs=5e-5)
+        assert 1 / p_search == pytest.approx(8.71e6, rel=1e-3)
+
+    @pytest.mark.parametrize("bits", [512, 2048])
+    def test_factor_of_a_full_size_key_lies_in_one_to_two(self, key512, key2048, bits):
+        key = key512 if bits == 512 else key2048
+        assert key.n.bit_length() == bits
+        config = ParserConfig.flawed(key.block_length)
+        factor = exact_search_probability(key.n, config) / exact_hit_probability(
+            key.block_length, config
+        )
+        assert 1 < factor <= 2
+        assert factor == pytest.approx(float(Fraction(1 << bits, key.n)), rel=1e-12)
+
+    def test_config_that_cannot_hit(self, key512):
+        assert exact_search_probability(key512.n, ParserConfig.flawed(64, window=[])) == 0.0

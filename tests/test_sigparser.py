@@ -246,7 +246,7 @@ class TestClassify:
         # whose stored hash sits at L (stack coverage permitting)
         landing = BL + offset
         block = craft_exploit_plaintext(BL, landing, seed)
-        config = ParserConfig.flawed(BL)
+        config = ParserConfig.flawed(BL, window=range(BL, BL + 128))
         got = make_classifier(config)(block)
         assert got == landing
         stack = StackModel(
@@ -258,6 +258,24 @@ class TestClassify:
             post_bytes=bytes(range(256)) * 2, calc_hash_offset=landing + 32, pre_gap=b""
         )
         assert flawed_parse(block, any_hash(seed), other).verdict is not Verdict.ACCEPT
+
+    @pytest.mark.parametrize("block_length", [64, 0x100])
+    def test_default_predicate_is_the_boot_landing(self, block_length):
+        # The search's default target is where the boot stores its own hash:
+        # of every reachable landing, classify takes exactly those the flawed
+        # walk accepts against the boot's stack.
+        stack = StackModel.boot9(block_length)
+        config = ParserConfig.flawed(block_length)
+        assert config.target_window == {stack.calc_hash_offset}
+        classify = make_classifier(config)
+        rng = random.Random(block_length)
+        hashes = [rng.randbytes(HASH_LENGTH) for _ in range(3)]
+        for landing in range(block_length, block_length + 128):
+            block = craft_exploit_plaintext(block_length, landing, bytes([landing & 0xFF]))
+            hit = classify(block) == landing
+            for calc_hash in hashes:
+                assert flawed_parse(block, calc_hash, stack).is_accept == hit, landing
+            assert hit == (landing == block_length)
 
     @given(data=st.binary(min_size=BL, max_size=BL))
     @settings(max_examples=300, deadline=None)

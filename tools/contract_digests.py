@@ -29,8 +29,8 @@ seeded from the seed; it checks each key by (2**e)**d = 2 mod n.  The
 ROM read hashes both 64 KiB ROMs of a machine seeded from the seed and
 checks them against SHA-256(seed || be64(i)) computed here.  For
 each search it hashes the result's signature, plaintext, landing offset,
-attempts, iterations, negated flag and root, but not its elapsed time.
-For each estimate it records the hit count.  It notes whether perfbench's own check passed
+attempts, iterations, negated flag and root.  For each estimate it
+records the hit count.  It notes whether perfbench's own check passed
 (on seed 1 that check includes the pinned `GOLDEN` digests), prints
 every operation whose record differs between the two trees with the
 fields that differ, and exits 1 on any difference or any failed
