@@ -1,14 +1,11 @@
 """Command-line front end.
 
 Every randomized command requires an explicit 32-byte hex seed, so a
-(config, seed, inputs) triple reproduces its artifacts byte for byte; no
-artifact records a wall-clock time.  The exception is `forge` with two
-or more workers: which worker hits first depends on timing, so its
-signature and attempt count vary between reruns.  A single-worker
-search result is byte-reproducible.  Exit codes:
-0 success, 1 verification or boot failure, 2 usage error.  The artifact
-directory defaults to the working directory and can be overridden with
-BOOTFORGE_WORKDIR.
+(config, seed, inputs) triple reproduces its artifacts byte for byte,
+whatever `forge --workers` is; no artifact records a wall-clock time.
+Exit codes: 0 success, 1 verification or boot failure, 2 usage error.
+The artifact directory defaults to the working directory and can be
+overridden with BOOTFORGE_WORKDIR.
 """
 
 from __future__ import annotations

@@ -7,17 +7,20 @@ walk to a chosen landing offset:
 * `forge_with_private_key` signs a crafted plaintext with d (the test
   oracle; one attempt by construction),
 * `brute_force_search` finds one with only the public key, walking the
-  multiplicative chain y <- y*k mod n where k = r^e mod n.  After z
-  steps y equals (r^z)^e mod n, so a hit at step z is signed by r^z
-  without ever computing a root.  Each step also tests n - y, because
-  with odd e the signature of n - y is simply n - r^z; that negation
-  check costs a subtraction instead of a multiplication and nearly
-  doubles throughput.  At large moduli, with libcrypto loaded, the chain
-  steps on OpenSSL bignums by one Montgomery product and converts only
-  candidates, the values whose top byte or whose negation's top byte is
-  zero, back to `int`; otherwise it steps in CPython (`modmath._chain`
-  chooses).  Both steps give the same values, so the attempt sequence
-  and the hits do not depend on which one ran.
+  multiplicative chain y_z = k^z mod n where k = r^e mod n and the root
+  r comes from the seed.  Since y_z = (r^z)^e mod n, a hit at step z is
+  signed by r^z without ever computing a root.  Each step also tests
+  n - y, because with odd e the signature of n - y is simply n - r^z;
+  that negation check costs a subtraction instead of a multiplication
+  and nearly doubles throughput.  W workers leapfrog the one chain:
+  worker i takes z = i+1, i+1+W, ..., stepping by k^W mod n, and the
+  hit with the least z wins, so the result is the same for every W.  At
+  large moduli, with libcrypto loaded, the chain steps on OpenSSL
+  bignums by one Montgomery product and converts only candidates, the
+  values whose top byte or whose negation's top byte is zero, back to
+  `int`; otherwise it steps in CPython (`modmath._chain` chooses).
+  Both steps give the same values, so the attempt sequence and the hits
+  do not depend on which one ran.
 
 `estimate_hit_probability` measures the probability that a uniformly
 random block satisfies a classification predicate, and
@@ -35,7 +38,7 @@ import multiprocessing
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, TextIO
 
@@ -75,7 +78,7 @@ _FLAG_TYPE_OK = np.isin(np.arange(256), FLAWED_BLOCK_TYPES)
 
 _TICK_MASK = 0x3FF  # a chain calls its tick every 1024 steps
 
-_STOP_GRACE_S = 1.0  # time a worker gets to see the stop flag before it is terminated
+_STOP_GRACE_S = 1.0  # time a worker gets to see the stop value before it is terminated
 
 MAX_WORKERS = 64  # a search starts one process per worker; a typo must not fork thousands
 
@@ -197,20 +200,23 @@ def _run_chain(
     e: int,
     block_length: int,
     config: ParserConfig,
-    worker_seed: bytes | str,
-    worker_index: int,
+    seed: bytes | str,
+    index: int,
+    worker_count: int,
     budget: int,
     tick: Callable[[int], bool],
 ) -> Optional[ForgeResult]:
-    """One multiplicative chain; returns a confirmed hit or None.
+    """Worker `index` of `worker_count`'s steps of the search chain
+    y_z = k^z mod n, the z = index+1, index+1+worker_count, ... up to
+    ceil(budget / 2); returns its first confirmed hit or None.
 
-    Each step tests two values, so after z steps the chain has made
-    2 * z attempts.  `tick(2 * z)` is called every 1024 steps and once
+    Each step tests two values, so after j steps the worker has made
+    2 * j attempts.  `tick(2 * j)` is called every 1024 steps and once
     more when the chain ends (a hit, a spent budget or a stop); a true
     return stops the chain.
     """
     classify = make_classifier(config)
-    r = draw_root(worker_seed, worker_index, n)
+    r = draw_root(seed, 0, n)
     k = mod_exp(r, e, n)
     # A value can only classify if its top byte is zero: y < top, or
     # n - y < top.
@@ -218,24 +224,29 @@ def _run_chain(
     top = 1 << top_bits
     # The last step starts while 2 * (z - 1) < budget, so an odd budget
     # ends one attempt past it.
-    steps = (budget + 1) // 2
+    last = (budget + 1) // 2
+    steps = (last - index - 1) // worker_count + 1
+    # From k^(index+1-W), whose first step by k^W lands on k^(index+1).
+    start = pow(k, index + 1 - worker_count, n)
+    stride = mod_exp(k, worker_count, n)
 
-    z = 0
+    j = 0
     hit = None
-    with contextlib.closing(modmath._chain(k, n, top_bits, steps, _TICK_MASK)) as chain:
-        for z, y in chain:
+    with contextlib.closing(modmath._chain(start, stride, n, top_bits, steps, _TICK_MASK)) as chain:
+        for j, y in chain:
             if y is None:
-                if tick(2 * z):
+                if tick(2 * j):
                     break
             elif hit := _classify_pair(classify, y, n, top, block_length):
                 break
         else:
-            z = steps
-    tick(2 * z)
+            j = steps
+    tick(2 * j)
     if hit is None:
         return None
 
     value, landing, negated = hit
+    z = index + 1 + (j - 1) * worker_count
     signature = pow(r, z, n)
     if negated:
         signature = (n - signature) % n
@@ -296,23 +307,26 @@ def _sigterm_raises():
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _worker_main(n, e, block_length, config, seed, index, budget, stop, results, counter):
+def _worker_main(n, e, block_length, config, seed, index, worker_count, budget, least, results,
+                 counter):
     # A forked worker inherits the parent's search handler; it ends by
     # SIGTERM's default action instead.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     def tick(attempts: int) -> bool:
         counter.value = attempts
-        return stop.is_set()
+        # Stop once this worker's next z would pass the least hit.
+        return index + 1 + attempts // 2 * worker_count > least.value
 
     try:
-        found = _run_chain(n, e, block_length, config, seed, index, budget, tick)
+        found = _run_chain(n, e, block_length, config, seed, index, worker_count, budget, tick)
         if found is not None:
             results.put(found)
-            stop.set()
+            with least.get_lock():
+                least.value = min(least.value, found.iterations)
     except Exception as exc:  # surfaced by the parent as a failed search
         results.put(exc)
-        stop.set()
+        least.value = 0
 
 
 def brute_force_search(
@@ -325,21 +339,19 @@ def brute_force_search(
 ) -> Optional[ForgeResult]:
     """Search for an exploit signature using only the public key.
 
-    Workers run independent chains from seed-derived roots and share
-    only a stop flag, the result slot and an attempt counter each; every
-    1024 chain steps a worker publishes its count and polls the flag.
-    The first confirmed hit wins, with the workers' final counts summed
-    as its attempts.  A chain makes two attempts a step and starts its
-    last step while 2 * (z - 1) < its budget, so an odd budget ends one
-    attempt past it: `max_attempts=1` makes 2.  With worker_count == 1
-    the search runs inline and the attempt sequence is a pure function of
-    the seed.  Either way `progress` gets at most one line a second.  A
+    The search walks one chain, y_z = k^z mod n from the seed's root, for
+    z up to ceil(max_attempts / 2): two attempts a step, so an odd budget
+    ends one attempt past it (`max_attempts=1` makes 2).  It returns the
+    hit with the least z, with 2 * z attempts, whatever worker_count is.
+    One worker runs the chain inline; with W, worker i takes z = i+1,
+    i+1+W, ... in its own process, and every 1024 steps publishes its
+    attempt count and stops once its next z would pass the least hit z
+    the workers share.  `progress` gets at most one line a second.  A
     config that cannot hit, or an even modulus, is a ValueError before any
-    chain runs.  Returns None when every worker spent its budget; raises
-    SearchWorkerError when a worker died without a result and none found
-    a hit.  A worker's death stops its peers at once, and so does a
-    SIGTERM to the parent (see `_sigterm_raises`) before the parent ends
-    by it.
+    chain runs.  Returns None when no z in the budget hits; raises
+    SearchWorkerError when a worker died, as the least z is then unproven.
+    A worker's death stops its peers at once, and so does a SIGTERM to the
+    parent (see `_sigterm_raises`) before the parent ends by it.
     """
     n, e = pub
     if not 1 <= worker_count <= MAX_WORKERS:
@@ -354,22 +366,20 @@ def brute_force_search(
 
     if worker_count == 1:
         return _run_chain(
-            n, e, block_length, config, seed, 0, max_attempts, _progress_reporter(progress)
+            n, e, block_length, config, seed, 0, 1, max_attempts, _progress_reporter(progress)
         )
 
-    stop = multiprocessing.Event()
+    least = multiprocessing.Value("q", (1 << 63) - 1)  # the least hit z: none yet; 0 stops all
     results: multiprocessing.SimpleQueue = multiprocessing.SimpleQueue()
     counters = [multiprocessing.Value("q", 0, lock=False) for _ in range(worker_count)]
-    share, extra = divmod(max_attempts, worker_count)
     workers = []
     with _sigterm_raises():
         try:
             for idx in range(worker_count):
-                budget = share + (1 if idx < extra else 0)
                 proc = multiprocessing.Process(
                     target=_worker_main,
-                    args=(n, e, block_length, config, seed, idx, budget, stop, results,
-                          counters[idx]),
+                    args=(n, e, block_length, config, seed, idx, worker_count, max_attempts,
+                          least, results, counters[idx]),
                 )
                 proc.start()
                 workers.append(proc)
@@ -378,31 +388,28 @@ def brute_force_search(
             while any(p.is_alive() for p in workers) and not any(p.exitcode for p in workers):
                 time.sleep(0.05)
                 report(sum(c.value for c in counters))
-            # A crashed worker stops the search at once; its peers get a grace
-            # period to notice the flag, so a hit already in flight still wins.
-            stop.set()
+            # A crashed worker stops the search at once; its peers get a
+            # grace period to see the stop value and end by themselves.
+            least.value = 0
             deadline = time.monotonic() + _STOP_GRACE_S
             for proc in workers:
                 proc.join(max(0.0, deadline - time.monotonic()))
-            winner: Optional[ForgeResult] = None
+            hits = []
             while not results.empty():
                 item = results.get()
                 if isinstance(item, Exception):
                     raise item
-                if winner is None:
-                    winner = item
+                hits.append(item)
         finally:
-            stop.set()
+            least.value = 0
             for proc in workers:
                 if proc.is_alive():
                     proc.terminate()
                 proc.join()
-    if winner is None:
-        for idx, proc in enumerate(workers):
-            if proc.exitcode != 0:
-                raise SearchWorkerError(idx, proc.exitcode)
-        return None
-    return replace(winner, attempts=sum(c.value for c in counters))
+    for idx, proc in enumerate(workers):
+        if proc.exitcode != 0:
+            raise SearchWorkerError(idx, proc.exitcode)
+    return min(hits, key=lambda hit: hit.iterations, default=None)
 
 
 def exact_search_probability(n: int, config: ParserConfig) -> float:

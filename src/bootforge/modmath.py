@@ -194,15 +194,15 @@ def _bind_bn_mod_exp(bn):
     return key_pow
 
 
-def _python_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
-    """The chain y <- y*k mod n from y = 1 in CPython, for `steps` steps.
+def _python_chain(start: int, k: int, n: int, top_bits: int, steps: int, tick_mask: int):
+    """The chain y <- y*k mod n from y = start in CPython, for `steps` steps.
 
     After step z it yields (z, y) when y or n - y is below 2**top_bits,
     and then (z, None) when z & tick_mask is 0, as the libcrypto step does.
     """
     top = 1 << top_bits
     bottom = n - top
-    y = 1
+    y = start
     for z in range(1, steps + 1):
         y = y * k % n
         if y < top or y > bottom:
@@ -212,21 +212,21 @@ def _python_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
 
 
 def _bind_montgomery_chain(bn):
-    """The chain y <- y*k mod n from y = 1, stepped by Montgomery
+    """The chain y <- y*k mod n from y = start, stepped by Montgomery
     multiplication on libcrypto bignums (see the module docstring).
 
-    montgomery_chain(k, n, top_bits, steps, tick_mask) runs `steps` steps
-    for an odd n > 1 and 0 <= k < n.  After step z it yields (z, y) when y
+    montgomery_chain(start, k, n, top_bits, steps, tick_mask) runs `steps`
+    steps for an odd n > 1 and 0 <= start, k < n.  After step z it yields (z, y) when y
     or n - y is below 2**top_bits, which must be less than n, and then
     (z, None) when z & tick_mask is 0.  Every OpenSSL object is made when
     the generator starts and freed when it ends or is closed.
     """
     mul, num_bits, cmp = bn.BN_mod_mul_montgomery, bn.BN_num_bits, bn.BN_cmp
 
-    def montgomery_chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
+    def montgomery_chain(start: int, k: int, n: int, top_bits: int, steps: int, tick_mask: int):
         size = (n.bit_length() + 7) // 8
         ctx, mont = bn.BN_CTX_new(), bn.BN_MONT_CTX_new()
-        nums = [_bn_from_int(bn, v) for v in (n, k, 1, n - (1 << top_bits))]
+        nums = [_bn_from_int(bn, v) for v in (n, k, start, n - (1 << top_bits))]
         try:
             if not ctx or not mont or not all(nums):
                 raise MemoryError("libcrypto could not allocate a bignum")
@@ -270,9 +270,9 @@ def _bind_chain(bn):
     values."""
     montgomery_chain = _bind_montgomery_chain(bn)
 
-    def chain(k: int, n: int, top_bits: int, steps: int, tick_mask: int):
+    def chain(start: int, k: int, n: int, top_bits: int, steps: int, tick_mask: int):
         step = montgomery_chain if n.bit_length() >= _MONTGOMERY_MIN_BITS else _python_chain
-        return step(k, n, top_bits, steps, tick_mask)
+        return step(start, k, n, top_bits, steps, tick_mask)
 
     return chain
 

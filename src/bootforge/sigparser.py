@@ -221,22 +221,14 @@ class ParserConfig:
         """The flawed walk's predicate.  The default window is the boot's
         landing: the one offset where `StackModel.boot9` stores the
         calculated hash, and so the only landing `flawed_parse` accepts
-        against the boot's stack."""
+        against the boot's stack.  With `check_type_bytes` it also demands
+        the two 0x30 type bytes and the 0x04 final type byte an honest
+        digest carries, which makes it stricter than `flawed_parse` itself:
+        random 0x100-byte blocks pass at the boot's landing with probability
+        about 2^-47.7, the figure for extrapolating real-key search cost."""
         if window is None:
             window = {StackModel.boot9(block_length).calc_hash_offset}
         return cls(target_window=frozenset(window), check_type_bytes=check_type_bytes)
-
-    @classmethod
-    def full_structure(cls, block_length: int) -> "ParserConfig":
-        """Classification predicate with the structure bytes pinned.
-
-        On top of the plain walk this demands the two 0x30 type bytes
-        and the 0x04 final type byte an honestly-encoded digest carries.
-        Random 0x100-byte blocks pass with probability about 2^-47.7, so
-        this is the config for extrapolating real-key search difficulty;
-        it is deliberately stricter than `flawed_parse` itself.
-        """
-        return cls.flawed(block_length, check_type_bytes=True)
 
 
 def _check_inputs(block: bytes, calc_hash: bytes) -> None:

@@ -7,6 +7,7 @@ pinned, never copied from the implementation under test.
 """
 
 import hashlib
+import math
 import random
 import statistics
 import time
@@ -39,6 +40,7 @@ from bootforge.forge import (
     craft_exploit_plaintext,
     estimate_hit_probability,
     exact_hit_probability,
+    exact_search_probability,
     forge_with_private_key,
 )
 from bootforge.modmath import (
@@ -180,9 +182,47 @@ def test_criterion_3_desk_scale_search(measured_p, search_results, relaxed_confi
     )
 
 
+def _first_hits_tail(s: int, q: float, m: int) -> float:
+    """P(Bin(s, q) < m): the chance that m first hits, each geometric with
+    success probability q a step, need more than s steps in all."""
+    return math.fsum(
+        math.exp(math.lgamma(s + 1) - math.lgamma(i + 1) - math.lgamma(s - i + 1)
+                 + i * math.log(q) + (s - i) * math.log1p(-q))
+        for i in range(min(m, s + 1))
+    )
+
+
+def _least_s(predicate, high: int) -> int:
+    low = 0
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if predicate(mid) else (mid + 1, high)
+    return low
+
+
+def test_first_hits_follow_the_exact_search_probability(
+    acceptance_key, search_results, relaxed_config
+):
+    # For a modulus of exactly 8*BL bits, y and n - y cannot both have a
+    # zero top byte, so a step hits with probability q = 2 * p_search and
+    # the summed steps of the m searches are negative binomial:
+    # P(sum <= s) = P(Bin(s, q) >= m).  Tails of 1e-6 each, fixed before
+    # the run; the band is wide, so this catches only a gross rate error.
+    n = acceptance_key.n
+    assert n.bit_length() == 8 * BL
+    q = 2 * exact_search_probability(n, relaxed_config)
+    m = len(search_results)
+    lo = _least_s(lambda s: 1 - _first_hits_tail(s, q, m) >= 1e-6, 10**9)
+    hi = _least_s(lambda s: _first_hits_tail(s, q, m) <= 1e-6, 10**9)
+    steps = sum(r.iterations for r in search_results)
+    cdf = 1 - _first_hits_tail(steps, q, m)
+    print(f"\nsummed first-hit steps {steps} in [{lo}, {hi}], cdf {cdf:.2f}")
+    assert lo <= steps <= hi, (steps, lo, hi)
+
+
 def test_criterion_4_extrapolated_claim():
     estimate = estimate_hit_probability(
-        0x100, ParserConfig.full_structure(0x100), 10**8, b"acceptance-extrapolate"
+        0x100, ParserConfig.flawed(0x100, check_type_bytes=True), 10**8, b"acceptance-extrapolate"
     )
     # Zero hits in 1e8 samples: direct sampling cannot see the real-key
     # rate, and the interval is consistent with it (upper bound well

@@ -295,6 +295,8 @@ class TestForgeCommand:
         assert rc == 0
         record = json.loads(Path("paper.json").read_text())
         assert record["landing_offset"] == 0x100
+        # The one-worker values (`--workers 1`): the worker count changes no result.
+        assert (record["attempts"], record["iterations"]) == (11_890_864, 5_945_432)
         capsys.readouterr()
         rc = main(["exploit", "--key-dir", str(keys), "--seed", SEED, "--sig", "paper.sig",
                    "--dump-keys"])

@@ -83,6 +83,18 @@ def crash_first_worker(*args):
     time.sleep(60)
 
 
+def crash_first_worker_after_a_hit(*args):
+    """Worker 0 exits 9 once a peer has shared its hit (3 if none does in
+    30 s); the others search."""
+    if args[5] != 0:
+        return forge._worker_main(*args)
+    least, deadline = args[8], time.monotonic() + 30
+    unset = least.value
+    while least.value == unset and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os._exit(3 if least.value == unset else 9)
+
+
 # The parent of a two-worker search whose chains write their pid into
 # argv[1] and hang; argv[2] is the modulus.
 SIGTERM_PARENT = """
@@ -224,12 +236,49 @@ class TestBruteForceSearch:
         assert raw_verify(result.signature, key512.public) == from_fixed_bytes(result.plaintext)
         assert make_classifier(FLAWED_64)(result.plaintext) == result.landing_offset
 
-    def test_two_worker_hit_counts_every_worker(self, key512):
-        result = brute_force_search(key512.public, FLAWED_64, 2, b"forge-test-1", 8_000_000)
-        assert result is not None
-        # The winner's final tick publishes its 2 * iterations; the other
-        # worker's final count is added to it.
-        assert 2 * result.iterations <= result.attempts <= 8_000_000
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("seed", [b"forge-test-0", b"forge-test-1", b"forge-test-3"])
+    def test_worker_count_changes_no_result(self, key512, workers, seed):
+        one = brute_force_search(key512.public, FLAWED_64, 1, seed, 4_000_000)
+        for _ in range(2):
+            assert brute_force_search(key512.public, FLAWED_64, workers, seed, 4_000_000) == one
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_slowed_worker_still_holds_the_least_hit(self, key512, monkeypatch, workers):
+        # The worker that owns the one-worker hit's z ticks slowly, so its
+        # peers reach later hits first; the search must still wait for it.
+        one = brute_force_search(key512.public, FLAWED_64, 1, b"forge-test-1", 4_000_000)
+        n, e = key512.public
+        owner = (one.iterations - 1) % workers
+        slow_start = pow(pow(one.root, e, n), owner + 1 - workers, n)
+        chain = modmath._chain
+
+        def slowed(start, *args):
+            for item in chain(start, *args):
+                if item[1] is None and start == slow_start:
+                    time.sleep(0.02)
+                yield item
+
+        monkeypatch.setattr(modmath, "_chain", slowed)  # forked workers inherit it
+        assert brute_force_search(key512.public, FLAWED_64, workers, b"forge-test-1",
+                                  4_000_000) == one
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_budget_bounds_the_one_chain(self, key512, workers):
+        one = brute_force_search(key512.public, FLAWED_64, 1, b"forge-test-1", 4_000_000)
+        z = one.iterations
+        for budget, expected in ((2 * z - 2, None), (2 * z - 1, one), (2 * z, one)):
+            assert brute_force_search(
+                key512.public, FLAWED_64, workers, b"forge-test-1", budget
+            ) == expected
+
+    def test_crash_beside_a_hit_is_an_error(self, key512, monkeypatch):
+        # Worker 0's z may hold a lesser hit than worker 1's, so a hit
+        # cannot be returned once a worker died.
+        monkeypatch.setattr(forge, "_worker_main", crash_first_worker_after_a_hit)
+        with pytest.raises(SearchWorkerError, match="worker 0 exited with code 9"):
+            brute_force_search(key512.public, FLAWED_64, 2, b"forge-test-1", 4_000_000)
+        assert multiprocessing.active_children() == []
 
     def test_exhaustion_returns_none(self, key512):
         assert brute_force_search(key512.public, UNLIKELY_64, 1, b"s", 10_000) is None
@@ -352,9 +401,9 @@ class TestBruteForceSearch:
         assert record["seed"] == b"forge-test-1".hex()
 
 
-def reference_chain(k, n, top_bits, steps, tick_mask):
-    """What a chain yields, by plain y = y * k % n."""
-    out, y = [], 1
+def reference_chain(start, k, n, top_bits, steps, tick_mask):
+    """What a chain yields, by plain y = y * k % n from y = start."""
+    out, y = [], start
     for z in range(1, steps + 1):
         y = y * k % n
         if min(y, n - y) < 1 << top_bits:
@@ -366,16 +415,17 @@ def reference_chain(k, n, top_bits, steps, tick_mask):
 
 @st.composite
 def chain_operands(draw):
-    """An odd modulus of 17 to 4096 bits, k of 1, n - 1 or any residue, a
-    candidate bound from 2**(bits-16) up to 2**(bits-1), a step count and a
-    tick mask."""
+    """An odd modulus of 17 to 4096 bits, a start of 1 or any residue, k of
+    1, n - 1 or any residue, a candidate bound from 2**(bits-16) up to
+    2**(bits-1), a step count and a tick mask."""
     bits = draw(st.integers(17, 4096))
     n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    start = draw(st.one_of(st.just(1), st.integers(0, n - 1)))
     k = draw(st.one_of(st.sampled_from([1, n - 1]), st.integers(0, n - 1)))
     top_bits = draw(st.integers(bits - 16, bits - 1))
     steps = draw(st.integers(0, 150))
     tick_mask = draw(st.sampled_from([0, 1, 7, 0x3FF]))
-    return k, n, top_bits, steps, tick_mask
+    return start, k, n, top_bits, steps, tick_mask
 
 
 class CountingBn:
@@ -421,12 +471,12 @@ class TestChain:
     @needs_bn_chain
     @settings(max_examples=150, deadline=None)
     @given(operands=chain_operands())
-    @example(operands=(1, (1 << 16) + 1, 8, 40, 7))
+    @example(operands=(1, 1, (1 << 16) + 1, 8, 40, 7))
     # y = 2**top_bits and n - y = 2**top_bits: neither is a candidate.
-    @example(operands=(1 << 8, (1 << 16) + 1, 8, 2, 7))
-    @example(operands=((1 << 16) + 1 - (1 << 8), (1 << 16) + 1, 8, 2, 7))
-    @example(operands=(((1 << 2048) - 1) - 1, (1 << 2048) - 1, 2040, 20, 1))
-    @example(operands=(3, (1 << 4095) + 3, 4094, 30, 0))
+    @example(operands=(1, 1 << 8, (1 << 16) + 1, 8, 2, 7))
+    @example(operands=(1, (1 << 16) + 1 - (1 << 8), (1 << 16) + 1, 8, 2, 7))
+    @example(operands=(1, ((1 << 2048) - 1) - 1, (1 << 2048) - 1, 2040, 20, 1))
+    @example(operands=(1, 3, (1 << 4095) + 3, 4094, 30, 0))
     def test_libcrypto_chain_yields_the_python_steps(self, operands):
         expected = reference_chain(*operands)
         assert list(modmath._bind_montgomery_chain(modmath._BN)(*operands)) == expected
@@ -438,7 +488,7 @@ class TestChain:
     def test_step_is_selected_by_size(self, bits, on_libcrypto):
         bn = CountingBn(modmath._BN)
         n = (1 << (bits - 1)) + 1
-        operands = (3, n, bits - 8, 40, 7)
+        operands = (1, 3, n, bits - 8, 40, 7)
         assert list(modmath._bind_chain(bn)(*operands)) == reference_chain(*operands)
         assert bool(bn.made) == on_libcrypto
 
@@ -483,7 +533,7 @@ class TestChain:
         ticks = []
         n, e = key2048.public
         assert forge._run_chain(
-            n, e, 0x100, UNLIKELY_256, b"t", 0, 10_000, recording_tick(ticks)
+            n, e, 0x100, UNLIKELY_256, b"t", 0, 1, 10_000, recording_tick(ticks)
         ) is None
         assert len(calls) == 1
         assert ticks == [2048, 4096, 6144, 8192, 10_000]
@@ -496,7 +546,7 @@ class TestChain:
         n, e = key2048.public
         top_bits, steps = 8 * (key2048.block_length - 1), 200_000
         k = modmath.mod_exp(draw_root(b"cand", 0, n), e, n)
-        chain = modmath._chain(k, n, top_bits, steps, forge._TICK_MASK)
+        chain = modmath._chain(1, k, n, top_bits, steps, forge._TICK_MASK)
         seen = sum(y is not None for _, y in chain)  # 2445 seen
         p = Fraction(2 << top_bits, n)
         mean, sigma = steps * p, math.sqrt(steps * p * (1 - p))
@@ -510,7 +560,7 @@ class TestChain:
         n, e = key.public
         ticks = []
         assert forge._run_chain(
-            n, e, key.block_length, config, b"b", 0, budget, recording_tick(ticks)
+            n, e, key.block_length, config, b"b", 0, 1, budget, recording_tick(ticks)
         ) is None
         assert ticks == expected
 
@@ -529,9 +579,9 @@ class TestChain:
             config, tick = UNLIKELY_256, failing_tick
         if end == "tick raises":
             with pytest.raises(RuntimeError, match="tick failed"):
-                forge._run_chain(n, e, 0x100, config, seed, 0, budget, tick)
+                forge._run_chain(n, e, 0x100, config, seed, 0, 1, budget, tick)
         else:
-            found = forge._run_chain(n, e, 0x100, config, seed, 0, budget, tick)
+            found = forge._run_chain(n, e, 0x100, config, seed, 0, 1, budget, tick)
             assert (found is not None) == (end == "hit")
         # The modulus, k, y and the bound; the BN_CTX and the BN_MONT_CTX.
         assert len(bn.made) == 6 and all(bn.made)

@@ -231,7 +231,7 @@ class TestClassify:
         assert make_classifier(config)(KNOWN_EXPLOIT_BLOCK) is None
 
     def test_type_byte_checks(self):
-        config = ParserConfig.full_structure(BL)
+        config = ParserConfig.flawed(BL, check_type_bytes=True)
         # the known block has a junk final type byte, so the stricter
         # search predicate refuses it even though the walk completes
         assert make_classifier(config)(KNOWN_EXPLOIT_BLOCK) is None

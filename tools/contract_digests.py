@@ -5,15 +5,15 @@
 Exports the tree of commit REV and the tree staged in the index (after a
 commit, the tree of HEAD), as `tools/bench_pairs.py` does, and refuses to
 start while a tracked file differs from the index.  In each tree it runs,
-with that tree's own bootforge and perfbench, 192 operations, 48 on each
+with that tree's own bootforge and perfbench, 196 operations, 49 on each
 of the benchmark seeds 1, 101, 102 and 103: the ten boots of perfbench's
 `BOOT_CYCLE`, the seven rejected images, the stall, the 32 MiB copy, the
 copy that runs off FCRAM, the seventeen direct `Machine.copy_phys` cases of
 `COPY_CASES` (both trees run this file's list), the five `raw_sign` cases
 of `SIGN_KEYS`, one record of the keys themselves, one read of both full
-boot ROMs, the single-worker
-`search512` and `search2048` searches, and the `estimate64` and
-`estimate256` estimates.  For each simulator
+boot ROMs, the single-worker `search512` and `search2048` searches, the
+two-worker `search512_2w` search, and the `estimate64` and `estimate256`
+estimates.  For each simulator
 operation it hashes the report JSON, the machine's whole event log, its
 SD store and its NAND store.  Each copy case runs on a fresh machine
 whose RAM holds a written pattern; it hashes the event log, the
@@ -207,7 +207,7 @@ def rom_record(number: int) -> dict:
 
 
 def tree_records() -> list[dict]:
-    """The 192 operation records of the bootforge and perfbench on sys.path."""
+    """The 196 operation records of the bootforge and perfbench on sys.path."""
     from bootforge.modmath import generate_keypair
     from bootforge.prng import derive_seed
     from corpus import build_corpus
@@ -260,9 +260,9 @@ def tree_records() -> list[dict]:
         records += sign_records(number, sign_keys)
         records.append(key_record(number, corpus, sign_keys))
         records.append(rom_record(number))
-        for leg in ("search512", "search2048"):
+        for leg, workers in (("search512", 1), ("search2048", 1), ("search512_2w", 2)):
             ops.found = None
-            ok = ops.search(0, leg, 1).ok
+            ok = ops.search(0, leg, workers).ok
             r = ops.found
             fields = r and [r.signature, r.plaintext.hex(), r.landing_offset, r.attempts,
                             r.iterations, r.negated, r.root]
